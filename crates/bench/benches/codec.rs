@@ -19,6 +19,7 @@ fn sample_frame(payload: usize) -> Frame {
             args: vec![Value::Blob(Bytes::from(vec![0u8; payload]))],
             reply_to: NodeId(0),
             hops: 8,
+            acked_below: 42,
         },
     )
 }

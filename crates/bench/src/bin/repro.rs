@@ -5,6 +5,8 @@
 //! cargo run -p eden-bench --bin repro --release -- e7 e8   # a subset
 //! ```
 
+#![forbid(unsafe_code)]
+
 use eden_bench::*;
 
 fn main() {

@@ -85,6 +85,13 @@ fn server_config() -> NodeConfig {
         trace_sampling: TraceSampling::Ratio(0),
         enable_retransmission: false,
         default_invoke_timeout: CALL_BUDGET,
+        // Every client addresses the server directly, so nothing needs
+        // locating. With the directory on, the 65 in-process kernels
+        // gossip with one another and each dials a writer to every
+        // peer (~4 000 writer threads and queues at 64 connections):
+        // load a real deployment would spread over 65 machines, here
+        // landing on the server's cores.
+        enable_directory: false,
         ..NodeConfig::default()
     }
 }
@@ -96,6 +103,7 @@ fn client_config() -> NodeConfig {
         trace_sampling: TraceSampling::Ratio(0),
         enable_retransmission: false,
         default_invoke_timeout: CALL_BUDGET,
+        enable_directory: false,
         ..NodeConfig::default()
     }
 }
@@ -108,9 +116,10 @@ struct TcpCluster {
 
 impl TcpCluster {
     fn build(n_clients: usize) -> TcpCluster {
+        // The default per-peer queue (1 024 frames) holds a whole
+        // window many times over; each queue preallocates its slots.
         let tuning = TcpTuning {
             reader_threads: READER_POOL,
-            queue_cap: 1 << 15,
             ..TcpTuning::default()
         };
         let meshes: Vec<Arc<TcpMesh>> = TcpMesh::bind_local_cluster_with(1 + n_clients, tuning)

@@ -150,6 +150,25 @@ impl<'a> OpCtx<'a> {
         self.node.checkpoint_slot(self.slot)
     }
 
+    /// The node currently keeping this object's long-term state: the
+    /// store that numbered the version [`checkpoint`](Self::checkpoint)
+    /// returns.
+    pub fn checksite(&self) -> NodeId {
+        self.slot.checksite().node
+    }
+
+    /// Loads one of this object's own past checkpoints: store version
+    /// `version` at `site` (a [`checksite`](Self::checksite) and a
+    /// version [`checkpoint`](Self::checkpoint) returned earlier). Read
+    /// locally when `site` is this node, otherwise fetched over the
+    /// wire. `Ok(None)` if that store no longer retains the version.
+    pub fn past_checkpoint(&self, site: NodeId, version: u64) -> Result<Option<Representation>> {
+        let image = self
+            .node
+            .fetch_checkpoint(site, self.slot.name, Some(version))?;
+        Ok(image.as_ref().map(Representation::from_image))
+    }
+
     /// Selects which node keeps this object's long-term state, and at
     /// what reliability level.
     pub fn set_checksite(&self, node: NodeId, level: ReliabilityLevel) -> Result<()> {

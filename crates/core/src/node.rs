@@ -30,7 +30,7 @@
 //! * a **receive loop** servicing the kernel-to-kernel protocol.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -45,7 +45,7 @@ use eden_wire::{
     DirRegisterKind, DirState, Frame, HeldState, MemberStatus, Message, ObjectImage, Reader,
     Status, Value, WireDecode, WireEncode, Writer,
 };
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use crate::ctx::OpCtx;
 use crate::error::{EdenError, Result};
@@ -246,28 +246,89 @@ pub(crate) struct PipelineTicket {
 }
 
 /// At-most-once bookkeeping for remotely served invocations: requests
-/// currently executing, and a bounded cache of sent replies so a lost
-/// reply can be re-sent instead of the operation re-executed.
-#[derive(Default)]
+/// currently executing, and the sent replies a caller may still need
+/// re-sent, so a lost reply is replayed instead of the operation
+/// re-executed.
+///
+/// A cached reply lives until its caller acknowledges it — every
+/// `InvokeRequest` carries the caller's `acked_below` watermark, its
+/// lowest still-pending invocation id — or, for a caller that went
+/// quiet or died, until it is older than `horizon_ns`, past which no
+/// retransmission of it can still be in flight. There is no count cap:
+/// at any rate, the cache holds what callers are still waiting on.
 struct ServedRequests {
     in_progress: HashSet<(NodeId, u64)>,
-    done: HashMap<(NodeId, u64), (Status, Vec<Value>)>,
-    order: std::collections::VecDeque<(NodeId, u64)>,
+    /// Sent replies per caller, by invocation id.
+    done: HashMap<NodeId, BTreeMap<u64, CachedReply>>,
+    horizon_ns: u64,
+    last_sweep_ns: u64,
+}
+
+struct CachedReply {
+    status: Status,
+    results: Vec<Value>,
+    sent_ns: u64,
 }
 
 impl ServedRequests {
-    const CAPACITY: usize = 4096;
-
-    fn record_done(&mut self, key: (NodeId, u64), status: Status, results: Vec<Value>) {
-        self.in_progress.remove(&key);
-        if self.done.insert(key, (status, results)).is_none() {
-            self.order.push_back(key);
+    /// Unacknowledged replies are kept this long: twice the longest
+    /// budget a caller retransmits for (one remote try, or a pipelined
+    /// wait on the default invocation timeout), so a retransmission
+    /// sent at the end of its budget still finds its reply.
+    fn new(config: &NodeConfig) -> Self {
+        let budget = config.remote_try_timeout.max(config.default_invoke_timeout);
+        ServedRequests {
+            in_progress: HashSet::new(),
+            done: HashMap::new(),
+            horizon_ns: 2 * budget.as_nanos() as u64,
+            last_sweep_ns: 0,
         }
-        while self.order.len() > Self::CAPACITY {
-            if let Some(old) = self.order.pop_front() {
-                self.done.remove(&old);
+    }
+
+    /// Drops `caller`'s cached replies below its watermark: it holds
+    /// their replies already, or has stopped waiting for them.
+    fn acknowledge(&mut self, caller: NodeId, acked_below: u64) {
+        if let Some(replies) = self.done.get_mut(&caller) {
+            while let Some(entry) = replies.first_entry() {
+                if *entry.key() >= acked_below {
+                    break;
+                }
+                entry.remove();
             }
         }
+    }
+
+    fn cached(&self, (caller, inv_id): (NodeId, u64)) -> Option<(Status, Vec<Value>)> {
+        let reply = self.done.get(&caller)?.get(&inv_id)?;
+        Some((reply.status.clone(), reply.results.clone()))
+    }
+
+    fn record_done(&mut self, key: (NodeId, u64), status: Status, results: Vec<Value>) {
+        let now = now_ns();
+        self.in_progress.remove(&key);
+        self.done.entry(key.0).or_default().insert(
+            key.1,
+            CachedReply {
+                status,
+                results,
+                sent_ns: now,
+            },
+        );
+        // Expire unacknowledged replies a few times per horizon; each
+        // sweep walks only what acknowledgements left behind.
+        if now.saturating_sub(self.last_sweep_ns) >= self.horizon_ns / 4 {
+            self.last_sweep_ns = now;
+            let cutoff = now.saturating_sub(self.horizon_ns);
+            self.done.retain(|_, replies| {
+                replies.retain(|_, reply| reply.sent_ns >= cutoff);
+                !replies.is_empty()
+            });
+        }
+    }
+
+    /// Cached replies currently held, across every caller.
+    fn len(&self) -> usize {
+        self.done.values().map(BTreeMap::len).sum()
     }
 }
 
@@ -295,7 +356,10 @@ pub(crate) struct NodeInner {
     /// machine: the receive loop ticks it and feeds it frames; no thread
     /// of its own.
     directory: Option<Mutex<DirectoryService>>,
-    pending: Mutex<HashMap<u64, Arc<Waiter<ReplyMsg>>>>,
+    /// Reply waiters by request id. Ordered, so the lowest pending id —
+    /// the `acked_below` watermark invocation requests carry — is at the
+    /// front.
+    pending: Mutex<BTreeMap<u64, Arc<Waiter<ReplyMsg>>>>,
     store: Arc<dyn CheckpointStore>,
     endpoint: Arc<dyn Endpoint>,
     gate: EdenSemaphore,
@@ -412,19 +476,19 @@ impl Node {
             id,
             gate: EdenSemaphore::new(config.virtual_processors.max(1) as u64),
             vprocs: VirtualProcessorPool::new(id, workers, config.vproc_queue_cap, &obs),
+            served: Mutex::new(ServedRequests::new(&config)),
             config,
             names: NameGenerator::new(id),
             registry,
             objects: RwLock::new(HashMap::new()),
             destroyed: Mutex::new(HashSet::new()),
-            served: Mutex::new(ServedRequests::default()),
             location: LocationService {
                 cache: Mutex::new(LruMap::new(cache_cap)),
                 forwards: RwLock::new(HashMap::new()),
                 queries: Mutex::new(HashMap::new()),
             },
             directory,
-            pending: Mutex::new(HashMap::new()),
+            pending: Mutex::new(BTreeMap::new()),
             store,
             endpoint,
             next_id: AtomicU64::new(1),
@@ -481,6 +545,12 @@ impl Node {
         self.inner.endpoint.stats()
     }
 
+    /// Replies held in the at-most-once reply cache for retransmitting
+    /// callers (entries leave once acknowledged or past the horizon).
+    pub fn cached_replies(&self) -> usize {
+        self.inner.served.lock().len()
+    }
+
     /// A snapshot of the virtual-processor pool: configured workers,
     /// live/idle/blocked counts, queue depth, and lifetime counters.
     pub fn vproc_stats(&self) -> VprocStats {
@@ -510,6 +580,28 @@ impl Node {
 
     fn fresh_id(&self) -> u64 {
         self.inner.next_id.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Allocates an invocation id and registers its reply waiter in one
+    /// step under the `pending` lock, so [`acked_below`](Self::acked_below)
+    /// never sees an id that is allocated but not yet pending.
+    fn register_invocation(&self, waiter: Arc<Waiter<ReplyMsg>>) -> u64 {
+        let mut pending = self.inner.pending.lock();
+        let inv_id = self.fresh_id();
+        pending.insert(inv_id, waiter);
+        inv_id
+    }
+
+    /// The acknowledgement watermark for outgoing invocation requests:
+    /// the lowest id still awaiting a reply, or the next fresh id when
+    /// nothing is pending. Every invocation below it is answered or
+    /// abandoned, so its server may drop the cached reply.
+    fn acked_below(&self) -> u64 {
+        let pending = self.inner.pending.lock();
+        match pending.keys().next() {
+            Some(&lowest) => lowest,
+            None => self.inner.next_id.load(Ordering::Relaxed),
+        }
     }
 
     // ================= Location directory =================
@@ -1269,7 +1361,7 @@ impl Node {
         if coord.queue.len() > 1 || coord.status != ObjStatus::Active {
             self.inner.metrics.bump_class_queued();
         }
-        self.pump(slot, &mut coord);
+        self.pump(slot, coord);
     }
 
     /// Drains the coordinator queue, keeping the queue-depth gauge true.
@@ -1285,7 +1377,7 @@ impl Node {
     /// The coordinator's dispatch rule: scan the queue for invocations
     /// whose class has spare capacity; spawn an invocation process for
     /// each (§4.2).
-    fn pump(&self, slot: &Arc<ObjectSlot>, coord: &mut CoordState) {
+    fn pump(&self, slot: &Arc<ObjectSlot>, mut coord: MutexGuard<'_, CoordState>) {
         if coord.status != ObjStatus::Active {
             return;
         }
@@ -1312,6 +1404,11 @@ impl Node {
             }
             return; // No dispatch while a move is pending.
         }
+        // An invocation shed for backpressure is answered after the
+        // coordinator lock is released: the reply goes out through the
+        // at-most-once cache and the transport, neither of which belongs
+        // under per-object state.
+        let mut shed = None;
         let mut i = 0;
         while i < coord.queue.len() {
             if coord.running >= self.inner.config.max_processes_per_object {
@@ -1395,12 +1492,16 @@ impl Node {
                             coord.class_in_service.remove(&class);
                         }
                     }
-                    self.send_reply(sink, Status::Overloaded, Vec::new(), trace);
+                    shed = Some((sink, trace));
                     break; // The queue is full; later pumps retry the rest.
                 }
             } else {
                 i += 1;
             }
+        }
+        drop(coord);
+        if let Some((sink, trace)) = shed {
+            self.send_reply(sink, Status::Overloaded, Vec::new(), trace);
         }
     }
 
@@ -1487,7 +1588,7 @@ impl Node {
                 return;
             }
         }
-        self.pump(&slot, &mut coord);
+        self.pump(&slot, coord);
     }
 
     fn send_reply(
@@ -1544,9 +1645,8 @@ impl Node {
         // sampled out — no span opens and the frame carries no context.
         let span = parent.map(|p| self.inner.obs.child_span("client-send", p));
         let send_ctx = span.as_ref().map(|s| s.ctx());
-        let inv_id = self.fresh_id();
         let waiter = Arc::new(Waiter::new());
-        self.inner.pending.lock().insert(inv_id, waiter.clone());
+        let inv_id = self.register_invocation(waiter.clone());
         self.inner
             .inflight
             .lock()
@@ -1562,6 +1662,7 @@ impl Node {
                     args: args.to_vec(),
                     reply_to: self.inner.id,
                     hops: self.inner.config.hop_limit,
+                    acked_below: self.acked_below(),
                 },
             );
             if let Some(t) = send_ctx {
@@ -1663,9 +1764,8 @@ impl Node {
             .obs
             .sampled_root_span("invoke", op)
             .map(|s| s.ctx());
-        let inv_id = self.fresh_id();
         let waiter = Arc::new(Waiter::new());
-        self.inner.pending.lock().insert(inv_id, waiter.clone());
+        let inv_id = self.register_invocation(waiter.clone());
         self.inner
             .inflight
             .lock()
@@ -1708,6 +1808,7 @@ impl Node {
                 args: args.to_vec(),
                 reply_to: self.inner.id,
                 hops: self.inner.config.hop_limit,
+                acked_below: self.acked_below(),
             },
         );
         if let Some(t) = ticket.trace {
@@ -1951,6 +2052,56 @@ impl Node {
         }
     }
 
+    /// Reads one checkpoint of `name` from the store at `site`: store
+    /// version `version`, or the latest for `None`. `Ok(None)` when that
+    /// store holds no such checkpoint (never written, or dropped by
+    /// retention); an error when `site` does not answer.
+    pub(crate) fn fetch_checkpoint(
+        &self,
+        site: NodeId,
+        name: ObjName,
+        version: Option<u64>,
+    ) -> Result<Option<ObjectImage>> {
+        if site == self.inner.id {
+            return Ok(self
+                .read_local_checkpoint(name, version)?
+                .and_then(|bytes| ObjectImage::decode_from_bytes(&bytes).ok()));
+        }
+        let req_id = self.fresh_id();
+        let waiter = Arc::new(Waiter::new());
+        self.inner.pending.lock().insert(req_id, waiter.clone());
+        let _ = self.inner.endpoint.send(Frame::to(
+            self.inner.id,
+            site,
+            Message::CheckpointFetch {
+                req_id,
+                name,
+                reply_to: self.inner.id,
+                version,
+            },
+        ));
+        let result = self
+            .inner
+            .vprocs
+            .blocking(|| waiter.wait(self.inner.config.remote_try_timeout));
+        self.inner.pending.lock().remove(&req_id);
+        match result {
+            Some(ReplyMsg::CkptData(image)) => Ok(image),
+            _ => Err(EdenError::Invoke(Status::NodeUnreachable)),
+        }
+    }
+
+    fn read_local_checkpoint(
+        &self,
+        name: ObjName,
+        version: Option<u64>,
+    ) -> Result<Option<bytes::Bytes>> {
+        Ok(match version {
+            Some(v) => self.inner.store.get(name, v)?,
+            None => self.inner.store.latest(name)?.map(|(_, bytes)| bytes),
+        })
+    }
+
     /// Sets the checksite of `slot` and persists it into the
     /// representation so it survives checkpoints and moves.
     pub(crate) fn set_checksite(
@@ -2162,7 +2313,7 @@ impl Node {
                 self.dir_register(slot.name, self.inner.id, DirRegisterKind::Active);
                 let mut coord = slot.coord.lock();
                 coord.status = ObjStatus::Active;
-                self.pump(&slot, &mut coord);
+                self.pump(&slot, coord);
             }
             Err(e) => {
                 let status = e.into_status();
@@ -2204,7 +2355,7 @@ impl Node {
             return Err(EdenError::BadRequest("move already in progress".into()));
         }
         coord.pending_move = Some(dst);
-        self.pump(slot, &mut coord);
+        self.pump(slot, coord);
         Ok(())
     }
 
@@ -2285,6 +2436,10 @@ impl Node {
                                     args: pending.args,
                                     reply_to,
                                     hops: self.inner.config.hop_limit,
+                                    // The caller's watermark did not
+                                    // survive queueing; 0 acknowledges
+                                    // nothing, which is always safe.
+                                    acked_below: 0,
                                 },
                             );
                             if let Some(t) = pending.trace {
@@ -2327,7 +2482,7 @@ impl Node {
                 let mut coord = slot.coord.lock();
                 coord.status = ObjStatus::Active;
                 coord.pending_move = None;
-                self.pump(&slot, &mut coord);
+                self.pump(&slot, coord);
             }
         }
     }
@@ -2407,7 +2562,7 @@ impl Node {
                 ));
                 let mut coord = slot.coord.lock();
                 coord.status = ObjStatus::Active;
-                self.pump(&slot, &mut coord);
+                self.pump(&slot, coord);
             }
             Err(e) => {
                 self.inner.objects.write().remove(&name);
@@ -2537,21 +2692,7 @@ impl Node {
         // Fetch from every passive holder; keep the newest image.
         let mut best: Option<ObjectImage> = None;
         for answer in answers.iter().filter(|a| a.state == HeldState::Passive) {
-            let req_id = self.fresh_id();
-            let waiter = Arc::new(Waiter::new());
-            self.inner.pending.lock().insert(req_id, waiter.clone());
-            let _ = self.inner.endpoint.send(Frame::to(
-                self.inner.id,
-                answer.holder,
-                Message::CheckpointFetch {
-                    req_id,
-                    name,
-                    reply_to: self.inner.id,
-                },
-            ));
-            let result = waiter.wait(self.inner.config.remote_try_timeout);
-            self.inner.pending.lock().remove(&req_id);
-            if let Some(ReplyMsg::CkptData(Some(image))) = result {
+            if let Ok(Some(image)) = self.fetch_checkpoint(answer.holder, name, None) {
                 if best
                     .as_ref()
                     .map(|b| image.version > b.version)
@@ -2920,7 +3061,16 @@ impl Node {
                 args,
                 reply_to,
                 hops,
-            } => self.handle_invoke_request(inv_id, target, operation, args, reply_to, hops, trace),
+                acked_below,
+            } => self.handle_invoke_request(
+                inv_id,
+                target,
+                operation,
+                args,
+                (reply_to, acked_below),
+                hops,
+                trace,
+            ),
             Message::InvokeReply {
                 inv_id,
                 status,
@@ -2989,7 +3139,7 @@ impl Node {
                     if state == HeldState::NotHeld {
                         c.add_negative();
                     } else {
-                        c.add(LocationAnswer { holder: src, state });
+                        c.add_answer(LocationAnswer { holder: src, state });
                     }
                 }
             }
@@ -3079,14 +3229,13 @@ impl Node {
                 req_id,
                 name,
                 reply_to,
+                version,
             } => {
                 let image = self
-                    .inner
-                    .store
-                    .latest(name)
+                    .read_local_checkpoint(name, version)
                     .ok()
                     .flatten()
-                    .and_then(|(_, bytes)| ObjectImage::decode_from_bytes(&bytes).ok());
+                    .and_then(|bytes| ObjectImage::decode_from_bytes(&bytes).ok());
                 let _ = self.inner.endpoint.send(Frame::to(
                     self.inner.id,
                     reply_to,
@@ -3213,7 +3362,7 @@ impl Node {
         target: Capability,
         operation: String,
         args: Vec<Value>,
-        reply_to: NodeId,
+        (reply_to, acked_below): (NodeId, u64),
         hops: u8,
         trace: Option<TraceCtx>,
     ) {
@@ -3231,8 +3380,9 @@ impl Node {
         // forwarding path, which removes the marker itself.
         {
             let mut served = self.inner.served.lock();
+            served.acknowledge(reply_to, acked_below);
             let key = (reply_to, inv_id);
-            if let Some((status, results)) = served.done.get(&key).cloned() {
+            if let Some((status, results)) = served.cached(key) {
                 drop(served);
                 let _ = self.inner.endpoint.send(Frame::to(
                     self.inner.id,
@@ -3319,6 +3469,7 @@ impl Node {
                         args,
                         reply_to,
                         hops: hops - 1,
+                        acked_below,
                     },
                 );
                 if let Some(t) = trace {

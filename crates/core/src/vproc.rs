@@ -249,7 +249,7 @@ impl VirtualProcessorPool {
     /// rejected invocation its backpressure reply).
     pub fn submit_batch(
         &self,
-        tasks: Vec<(Box<dyn FnOnce() + Send + 'static>, Option<TraceCtx>)>,
+        tasks: Vec<(Job, Option<TraceCtx>)>,
     ) -> Vec<Result<(), SubmitError>> {
         if tasks.is_empty() {
             return Vec::new();

@@ -124,7 +124,7 @@ impl QueryCollector {
     }
 
     /// Records one positive answer.
-    pub fn add(&self, answer: LocationAnswer) {
+    pub fn add_answer(&self, answer: LocationAnswer) {
         let mut state = self.state.lock();
         state.answers.push(answer);
         if let Some(n) = state.outstanding.as_mut() {
@@ -222,12 +222,12 @@ mod tests {
         let c = Arc::new(QueryCollector::new());
         let c2 = c.clone();
         let t = std::thread::spawn(move || {
-            c2.add(LocationAnswer {
+            c2.add_answer(LocationAnswer {
                 holder: NodeId(3),
                 state: HeldState::Passive,
             });
             std::thread::sleep(Duration::from_millis(10));
-            c2.add(LocationAnswer {
+            c2.add_answer(LocationAnswer {
                 holder: NodeId(4),
                 state: HeldState::Active,
             });
@@ -245,7 +245,7 @@ mod tests {
     #[test]
     fn collector_returns_passives_at_deadline() {
         let c = QueryCollector::new();
-        c.add(LocationAnswer {
+        c.add_answer(LocationAnswer {
             holder: NodeId(1),
             state: HeldState::Passive,
         });
@@ -258,7 +258,7 @@ mod tests {
     fn collector_completes_early_once_every_peer_responds() {
         let c = QueryCollector::with_expected(3);
         c.add_negative();
-        c.add(LocationAnswer {
+        c.add_answer(LocationAnswer {
             holder: NodeId(2),
             state: HeldState::Passive,
         });

@@ -68,7 +68,13 @@ fn kernel_and_raw_client(
     (node, client, mesh)
 }
 
+/// A request from a raw client with nothing else outstanding: its own
+/// id is the lowest pending one.
 fn invoke_request(inv_id: u64, target: Capability, op: &str) -> Frame {
+    invoke_request_acked(inv_id, inv_id, target, op)
+}
+
+fn invoke_request_acked(inv_id: u64, acked_below: u64, target: Capability, op: &str) -> Frame {
     Frame::to(
         NodeId(1),
         NodeId(0),
@@ -79,8 +85,31 @@ fn invoke_request(inv_id: u64, target: Capability, op: &str) -> Frame {
             args: Vec::new(),
             reply_to: NodeId(1),
             hops: 8,
+            acked_below,
         },
     )
+}
+
+/// Waits for exactly `n` replies (or panics after a generous deadline).
+fn expect_replies(client: &Arc<dyn Endpoint>, n: usize) -> Vec<(u64, Status, Vec<Value>)> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut replies = Vec::with_capacity(n);
+    while replies.len() < n {
+        let left = deadline
+            .checked_duration_since(Instant::now())
+            .unwrap_or_else(|| panic!("only {} of {n} replies arrived", replies.len()));
+        if let Some(frame) = client.recv_timeout(left).expect("recv") {
+            if let Message::InvokeReply {
+                inv_id,
+                status,
+                results,
+            } = frame.msg
+            {
+                replies.push((inv_id, status, results));
+            }
+        }
+    }
+    replies
 }
 
 /// Drains replies arriving at the raw client within `window`.
@@ -245,6 +274,62 @@ fn telemetry_sentinel_scrapes_are_deduplicated_and_replayed() {
         replayed[0].2, first[0].2,
         "sentinel scrape replayed from the reply cache, not re-executed"
     );
+
+    node.shutdown();
+    mesh.shutdown();
+}
+
+#[test]
+fn lost_reply_is_replayed_after_thousands_of_other_requests() {
+    let executions = Arc::new(AtomicU64::new(0));
+    let (node, client, mesh) = kernel_and_raw_client(executions.clone(), Duration::ZERO);
+    let cap = node.create_object("amo.counted", &[]).expect("create");
+
+    // Request 1 executes, but its reply is "lost": the client keeps it
+    // pending, so every later request carries acked_below = 1.
+    client.send(invoke_request(1, cap, "bump")).unwrap();
+    let lost = expect_replies(&client, 1);
+    assert_eq!(lost[0].2, vec![Value::U64(1)]);
+
+    // Far more traffic than any fixed-size reply cache would hold
+    // (the old cache kept the last 4096 replies).
+    const OTHERS: u64 = 5000;
+    const WINDOW: u64 = 250;
+    let mut next = 2;
+    while next < 2 + OTHERS {
+        let end = (next + WINDOW).min(2 + OTHERS);
+        for inv_id in next..end {
+            client
+                .send(invoke_request_acked(inv_id, 1, cap, "bump"))
+                .unwrap();
+        }
+        let replies = expect_replies(&client, (end - next) as usize);
+        assert!(replies.iter().all(|r| r.1 == Status::Ok));
+        next = end;
+    }
+    assert_eq!(executions.load(Ordering::SeqCst), 1 + OTHERS);
+
+    // The retransmission replays the original reply, not a new run.
+    client
+        .send(invoke_request_acked(1, 1, cap, "bump"))
+        .unwrap();
+    let replayed = expect_replies(&client, 1);
+    assert_eq!(replayed[0].0, 1);
+    assert_eq!(
+        replayed[0].2,
+        vec![Value::U64(1)],
+        "replayed, not re-executed"
+    );
+    assert_eq!(executions.load(Ordering::SeqCst), 1 + OTHERS);
+
+    // Once the client acknowledges everything, the cache lets go of
+    // every reply but the newest request's own.
+    let last = 2 + OTHERS;
+    client
+        .send(invoke_request_acked(last, last, cap, "bump"))
+        .unwrap();
+    expect_replies(&client, 1);
+    assert_eq!(node.cached_replies(), 1);
 
     node.shutdown();
     mesh.shutdown();

@@ -1,9 +1,22 @@
 //! EFS files: immutable version sequences, and frozen blob publications.
 //!
-//! A file's representation holds every retained version under
-//! `ver:NNNNNNNN` segments. Writing never mutates a version — it appends
-//! the next one and checkpoints, which is what makes EFS "transaction-
-//! based, storing immutable versions" implementable with simple locking.
+//! Writing never mutates a version — it appends the next one and
+//! checkpoints, which is what makes EFS "transaction-based, storing
+//! immutable versions" implementable with simple locking.
+//!
+//! Only the latest version is resident in the representation (the
+//! `ver:NNNNNNNN` segment). Every older version already sits durably in
+//! a checkpoint taken while it was latest, so appending replaces the
+//! previous segment with a pointer — `(checksite, store version)` of
+//! that checkpoint — and `read`/`publish` of an old version load it from
+//! there. Memory and checkpoint size stay flat however many versions a
+//! file accumulates. Pointers to consecutive checkpoints of consecutive
+//! versions share one run in the `ptrs` segment, so a file written only
+//! through this type keeps a single run. A version whose checkpoint the
+//! store has since dropped (retention) reads as not found and leaves
+//! `history`. Images that still carry older resident segments (the
+//! earlier all-resident layout) read them directly and convert on their
+//! next append.
 //!
 //! Files are also two-phase-commit participants: the transaction manager
 //! drives `lock` / `prepare` / `commit` / `abort` operations, with the
@@ -11,13 +24,158 @@
 //! aborts the transaction naturally — staged data is never checkpointed).
 
 use bytes::Bytes;
-use eden_capability::Rights;
-use eden_kernel::{OpCtx, OpError, OpResult, TypeManager, TypeSpec};
+use eden_capability::{NodeId, Rights};
+use eden_kernel::{OpCtx, OpError, OpResult, Representation, TypeManager, TypeSpec};
 use eden_wire::Value;
 
 /// Segment name of version `v`.
 fn ver_segment(v: u64) -> String {
     format!("ver:{v:08}")
+}
+
+/// Segment holding the pointer runs to non-resident versions.
+const POINTERS: &str = "ptrs";
+
+/// Scratch key of the newest version known to be inside a completed
+/// checkpoint, with that checkpoint's site and store version.
+const DURABLE: &str = "durable";
+
+/// Where a run of consecutive non-resident versions lives: version
+/// `first + i` is resident in store version `ckpt + i` at node `site`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    first: u64,
+    count: u64,
+    site: u16,
+    ckpt: u64,
+}
+
+impl Run {
+    /// The checkpoint holding version `v`, if this run covers it.
+    fn locate(&self, v: u64) -> Option<(NodeId, u64)> {
+        (v >= self.first && v - self.first < self.count)
+            .then(|| (NodeId(self.site), self.ckpt + (v - self.first)))
+    }
+
+    fn end(&self) -> u64 {
+        self.first + self.count
+    }
+
+    fn to_value(self) -> Value {
+        Value::List(vec![
+            Value::U64(self.first),
+            Value::U64(self.count),
+            Value::U64(u64::from(self.site)),
+            Value::U64(self.ckpt),
+        ])
+    }
+
+    fn from_value(v: &Value) -> Option<Run> {
+        let fields: Vec<u64> = v.as_list()?.iter().filter_map(Value::as_u64).collect();
+        let [first, count, site, ckpt] = fields[..] else {
+            return None;
+        };
+        Some(Run {
+            first,
+            count,
+            site: u16::try_from(site).ok()?,
+            ckpt,
+        })
+    }
+}
+
+fn runs(r: &Representation) -> Vec<Run> {
+    match r.get_value(POINTERS) {
+        Some(Value::List(items)) => items.iter().filter_map(Run::from_value).collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// Version numbers with a resident `ver:` segment, ascending.
+fn resident_versions(r: &Representation) -> Vec<u64> {
+    r.segments_with_prefix("ver:")
+        .filter_map(|s| s[4..].parse::<u64>().ok())
+        .collect()
+}
+
+/// Replaces every resident segment up to `upto` (all of them inside the
+/// checkpoint `ckpt` at `site`) with a pointer there.
+fn retire_resident(r: &mut Representation, upto: u64, site: NodeId, ckpt: u64) {
+    let retired: Vec<u64> = resident_versions(r)
+        .into_iter()
+        .filter(|&v| v <= upto)
+        .collect();
+    if retired.is_empty() {
+        return;
+    }
+    let mut runs = runs(r);
+    for v in retired {
+        r.remove(&ver_segment(v));
+        match runs.last_mut() {
+            Some(last)
+                if last.end() == v && last.site == site.0 && last.ckpt + last.count == ckpt =>
+            {
+                last.count += 1;
+            }
+            _ => runs.push(Run {
+                first: v,
+                count: 1,
+                site: site.0,
+                ckpt,
+            }),
+        }
+    }
+    r.put_value(
+        POINTERS,
+        &Value::List(runs.into_iter().map(Run::to_value).collect()),
+    );
+}
+
+/// Bytes of version `v` (`None` for the latest): from the resident
+/// segment, or else from the checkpoint its pointer names. `Ok(None)` if
+/// the file never had that version or its checkpoint is gone.
+fn version_bytes(ctx: &OpCtx<'_>, v: Option<u64>) -> Result<Option<Bytes>, OpError> {
+    let (v, resident, pointer) = ctx.read_repr(|r| {
+        let v = v.unwrap_or_else(|| r.get_u64("latest").unwrap_or(0));
+        let resident = r.get(&ver_segment(v)).cloned();
+        let pointer = match resident {
+            Some(_) => None,
+            None => runs(r).iter().find_map(|run| run.locate(v)),
+        };
+        (v, resident, pointer)
+    });
+    if resident.is_some() {
+        return Ok(resident);
+    }
+    let Some((site, ckpt)) = pointer else {
+        return Ok(None);
+    };
+    let past = ctx.past_checkpoint(site, ckpt)?;
+    Ok(past.and_then(|r| r.get(&ver_segment(v)).cloned()))
+}
+
+/// The first version of `run` whose checkpoint the store still holds
+/// (`run.end()` if none). Retention drops a store's oldest versions
+/// first, so the retained ones form a suffix: binary search it.
+fn first_retained(ctx: &OpCtx<'_>, run: &Run) -> Result<u64, OpError> {
+    let held = |i: u64| -> Result<bool, OpError> {
+        Ok(ctx
+            .past_checkpoint(NodeId(run.site), run.ckpt + i)?
+            .is_some())
+    };
+    if held(0)? {
+        return Ok(run.first);
+    }
+    let (mut lo, mut hi) = (1, run.count);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if held(mid)? {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    Ok(run.first + lo)
 }
 
 /// The EFS file type manager.
@@ -29,13 +187,14 @@ fn ver_segment(v: u64) -> String {
 /// | `read [version?]` | reads (8) | READ | bytes of a version (default latest) |
 /// | `write [blob]` | writes (1) | WRITE | append version, checkpoint, return its number |
 /// | `latest_version` | reads | READ | highest version number (0 = empty) |
-/// | `history` | reads | READ | retained version numbers |
+/// | `history` | reads | READ | readable version numbers |
 /// | `publish [version?]` | writes | READ | clone a version into a frozen blob object, return its capability |
 /// | `lock [txid, exclusive]` | control (1) | WRITE | try-acquire; returns granted |
 /// | `unlock [txid]` | control | WRITE | release |
 /// | `prepare [txid, blob, expected?]` | control | WRITE | stage a write (optionally validating the base version) |
 /// | `commit [txid]` | control | WRITE | staged write becomes a version |
 /// | `abort [txid]` | control | WRITE | drop staged write, release locks |
+/// | `crash` | control | OWNER | fault simulation: drop all active state |
 pub struct FileType;
 
 impl FileType {
@@ -83,6 +242,7 @@ impl TypeManager for FileType {
             .op("prepare", "control", Rights::WRITE)
             .op("commit", "control", Rights::WRITE)
             .op("abort", "control", Rights::WRITE)
+            .op("crash", "control", Rights::OWNER)
     }
 
     fn initialize(&self, ctx: &OpCtx<'_>, args: &[Value]) -> Result<(), OpError> {
@@ -100,28 +260,23 @@ impl TypeManager for FileType {
 
     fn dispatch(&self, ctx: &OpCtx<'_>, op: &str, args: &[Value]) -> OpResult {
         match op {
-            "read" => {
-                let version = args.first().and_then(Value::as_u64);
-                let data = ctx.read_repr(|r| {
-                    let v = version.unwrap_or_else(|| r.get_u64("latest").unwrap_or(0));
-                    r.get(&ver_segment(v)).cloned()
-                });
-                match data {
-                    Some(bytes) => Ok(vec![Value::Blob(bytes)]),
-                    None => Err(OpError::app(404, "no such version")),
-                }
-            }
+            "read" => match version_bytes(ctx, args.first().and_then(Value::as_u64))? {
+                Some(bytes) => Ok(vec![Value::Blob(bytes)]),
+                None => Err(OpError::app(404, "no such version")),
+            },
             "latest_version" => Ok(vec![Value::U64(
                 ctx.read_repr(|r| r.get_u64("latest").unwrap_or(0)),
             )]),
             "history" => {
-                let versions: Vec<Value> = ctx.read_repr(|r| {
-                    r.segments_with_prefix("ver:")
-                        .filter_map(|s| s[4..].parse::<u64>().ok())
-                        .map(Value::U64)
-                        .collect()
-                });
-                Ok(vec![Value::List(versions)])
+                let (mut versions, runs) = ctx.read_repr(|r| (resident_versions(r), runs(r)));
+                for run in &runs {
+                    versions.extend(first_retained(ctx, run)?..run.end());
+                }
+                versions.sort_unstable();
+                versions.dedup();
+                Ok(vec![Value::List(
+                    versions.into_iter().map(Value::U64).collect(),
+                )])
             }
             "write" => {
                 let data = args
@@ -133,12 +288,7 @@ impl TypeManager for FileType {
                 Ok(vec![Value::U64(v)])
             }
             "publish" => {
-                let version = args.first().and_then(Value::as_u64);
-                let data = ctx.read_repr(|r| {
-                    let v = version.unwrap_or_else(|| r.get_u64("latest").unwrap_or(0));
-                    r.get(&ver_segment(v)).cloned()
-                });
-                let Some(bytes) = data else {
+                let Some(bytes) = version_bytes(ctx, args.first().and_then(Value::as_u64))? else {
                     return Err(OpError::app(404, "no such version"));
                 };
                 let blob_cap = ctx.create_object(BlobType::NAME, &[Value::Blob(bytes)])?;
@@ -226,20 +376,60 @@ impl TypeManager for FileType {
                 release_locks(ctx, txid);
                 Ok(vec![])
             }
+            "crash" => {
+                // Fault simulation (§4.4): the object restarts from its
+                // latest checkpoint on the next invocation.
+                ctx.crash();
+                Ok(vec![])
+            }
             other => Err(OpError::no_such_op(other)),
         }
     }
 }
 
+/// Appends version `latest + 1` and checkpoints it. Resident versions
+/// that an earlier completed checkpoint already holds leave memory for
+/// a pointer to that checkpoint.
 fn append_version(ctx: &OpCtx<'_>, data: Bytes) -> Result<u64, OpError> {
+    let durable = durable_mark(ctx);
     let v = ctx.mutate_repr(|r| {
+        if let Some((upto, site, ckpt)) = durable {
+            retire_resident(r, upto, site, ckpt);
+        }
         let v = r.get_u64("latest").unwrap_or(0) + 1;
         r.put(ver_segment(v), data);
         r.put_u64("latest", v);
         v
     })?;
-    ctx.checkpoint()?;
+    let ckpt = ctx.checkpoint()?;
+    // Short-term state: after a crash nothing is known durable until
+    // the next append completes its checkpoint, so that append keeps
+    // the reincarnated segments resident and the one after retires
+    // them.
+    if durable.is_none_or(|(upto, _, _)| v > upto) {
+        ctx.scratch_put(
+            DURABLE,
+            Value::List(vec![
+                Value::U64(v),
+                Value::U64(u64::from(ctx.checksite().0)),
+                Value::U64(ckpt),
+            ]),
+        );
+    }
     Ok(v)
+}
+
+/// The newest version inside a completed checkpoint, and where that
+/// checkpoint lives.
+fn durable_mark(ctx: &OpCtx<'_>) -> Option<(u64, NodeId, u64)> {
+    let Some(Value::List(fields)) = ctx.scratch_get(DURABLE) else {
+        return None;
+    };
+    let fields: Vec<u64> = fields.iter().filter_map(Value::as_u64).collect();
+    let [upto, site, ckpt] = fields[..] else {
+        return None;
+    };
+    Some((upto, NodeId(u16::try_from(site).ok()?), ckpt))
 }
 
 fn clear_prepared(ctx: &OpCtx<'_>, txid: u64) {

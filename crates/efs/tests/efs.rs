@@ -3,10 +3,14 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use eden_efs::{with_efs, Efs, EfsError};
-use eden_kernel::Cluster;
-use eden_wire::Value;
+use eden_capability::NodeId;
+use eden_efs::{with_efs, BlobType, DirectoryType, Efs, EfsError, FileType};
+use eden_kernel::{Cluster, Node, NodeConfig, Representation, TypeRegistry};
+use eden_store::MemStore;
+use eden_transport::LoopbackMesh;
+use eden_wire::{ObjectImage, Value, WireDecode};
 
 fn cluster(n: usize) -> Cluster {
     with_efs(Cluster::builder().nodes(n)).build()
@@ -36,6 +40,145 @@ fn versions_are_immutable_history() {
         efs.read_version("/f", 99),
         Err(EfsError::NotFound(_))
     ));
+}
+
+/// The `ver:` segments resident in the latest checkpoint of the file at
+/// `path` (checkpointed at the node hosting it).
+fn resident_version_segments(efs: &Efs, host: &Node, path: &str) -> usize {
+    let file = efs.lookup(path).unwrap();
+    let (_, bytes) = host.store().latest(file.name()).unwrap().unwrap();
+    let image = ObjectImage::decode_from_bytes(&bytes).unwrap();
+    Representation::from_image(&image)
+        .segments_with_prefix("ver:")
+        .count()
+}
+
+fn payload(v: u64) -> Vec<u8> {
+    format!("version {v}").into_bytes()
+}
+
+#[test]
+fn a_thousand_writes_leave_one_resident_version() {
+    let c = cluster(1);
+    let efs = Efs::format(c.node(0).clone()).unwrap();
+    const WRITES: u64 = 1000;
+    for v in 1..=WRITES {
+        assert_eq!(efs.write("/log", &payload(v)).unwrap(), v);
+    }
+    assert_eq!(resident_version_segments(&efs, c.node(0), "/log"), 1);
+    // Every version stays readable, resident or not.
+    for v in 1..=WRITES {
+        assert_eq!(efs.read_version("/log", v).unwrap(), payload(v), "v{v}");
+    }
+    assert_eq!(efs.read("/log").unwrap(), payload(WRITES));
+    assert_eq!(
+        efs.history("/log").unwrap(),
+        (1..=WRITES).collect::<Vec<_>>()
+    );
+    // Old versions publish too.
+    let file = efs.lookup("/log").unwrap();
+    let out = c.node(0).invoke(file, "publish", &[Value::U64(7)]).unwrap();
+    let blob = out[0].as_cap().unwrap();
+    let out = c.node(0).invoke(blob, "read", &[]).unwrap();
+    assert_eq!(out[0].as_blob().unwrap().to_vec(), payload(7));
+}
+
+#[test]
+fn old_versions_survive_crash_and_reincarnation() {
+    let c = cluster(1);
+    let efs = Efs::format(c.node(0).clone()).unwrap();
+    for v in 1..=20 {
+        efs.write("/f", &payload(v)).unwrap();
+    }
+    let file = efs.lookup("/f").unwrap();
+    c.node(0).invoke(file, "crash", &[]).unwrap();
+    // The next invocation reincarnates from the latest checkpoint.
+    for v in 1..=20 {
+        assert_eq!(efs.read_version("/f", v).unwrap(), payload(v), "v{v}");
+    }
+    // Appends after reincarnation keep the chain readable, and the
+    // image shrinks back to one resident version.
+    for v in 21..=24 {
+        assert_eq!(efs.write("/f", &payload(v)).unwrap(), v);
+    }
+    assert_eq!(resident_version_segments(&efs, c.node(0), "/f"), 1);
+    assert_eq!(efs.history("/f").unwrap(), (1..=24).collect::<Vec<_>>());
+    for v in 1..=24 {
+        assert_eq!(efs.read_version("/f", v).unwrap(), payload(v), "v{v}");
+    }
+}
+
+#[test]
+fn old_versions_are_fetched_from_a_remote_checksite() {
+    // Versions 1..=10 checkpoint at node 0; the file then moves to node
+    // 1, whose own store takes the later checkpoints. Reading the early
+    // versions from node 1 fetches node 0's checkpoints over the wire.
+    let c = cluster(2);
+    let efs0 = Efs::format(c.node(0).clone()).unwrap();
+    for v in 1..=10 {
+        efs0.write("/moved", &payload(v)).unwrap();
+    }
+    let file = efs0.lookup("/moved").unwrap();
+    c.node(0).move_object(file, NodeId(1)).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !c.node(1).is_local(file.name()) {
+        assert!(Instant::now() < deadline, "move did not complete");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let efs1 = Efs::mount(c.node(1).clone(), efs0.root());
+    for v in 11..=15 {
+        assert_eq!(efs1.write("/moved", &payload(v)).unwrap(), v);
+    }
+    assert_eq!(resident_version_segments(&efs1, c.node(1), "/moved"), 1);
+    for efs in [&efs0, &efs1] {
+        for v in 1..=15 {
+            assert_eq!(efs.read_version("/moved", v).unwrap(), payload(v), "v{v}");
+        }
+        assert_eq!(efs.history("/moved").unwrap(), (1..=15).collect::<Vec<_>>());
+    }
+    // The early versions really live only at node 0: with it gone they
+    // are unreachable, while node 1's own versions still read.
+    c.kill(0);
+    let read = |v: u64| c.node(1).invoke(file, "read", &[Value::U64(v)]);
+    assert_eq!(
+        read(15).unwrap()[0].as_blob().unwrap().to_vec(),
+        payload(15)
+    );
+    assert!(read(3).is_err(), "v3 must need node 0's checkpoint");
+}
+
+#[test]
+fn versions_whose_checkpoint_was_retired_read_as_not_found() {
+    // A store keeping only the 4 newest checkpoints per object.
+    let mesh = LoopbackMesh::new(1);
+    let registry = Arc::new(TypeRegistry::new());
+    registry.register(Arc::new(FileType)).unwrap();
+    registry.register(Arc::new(BlobType)).unwrap();
+    registry.register(Arc::new(DirectoryType)).unwrap();
+    let node = Node::new(
+        NodeConfig::default(),
+        mesh.endpoint(0),
+        Arc::new(MemStore::with_retention(4)),
+        registry,
+    );
+    let efs = Efs::format(node.clone()).unwrap();
+    for v in 1..=10 {
+        efs.write("/short", &payload(v)).unwrap();
+    }
+    let history = efs.history("/short").unwrap();
+    let oldest = history[0];
+    assert!(oldest > 1, "retention must have dropped early versions");
+    assert_eq!(history, (oldest..=10).collect::<Vec<_>>());
+    for v in 1..oldest {
+        assert!(
+            matches!(efs.read_version("/short", v), Err(EfsError::NotFound(_))),
+            "v{v} outlived its checkpoint"
+        );
+    }
+    for v in oldest..=10 {
+        assert_eq!(efs.read_version("/short", v).unwrap(), payload(v));
+    }
+    node.shutdown();
 }
 
 #[test]

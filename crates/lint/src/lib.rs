@@ -8,9 +8,9 @@
 //! appears. Following Lampson's advice to make such invariants
 //! *checkable* rather than conventional, this crate parses the whole
 //! workspace (a purpose-built lexer — the build image has no network
-//! access for `syn`) and enforces eight rules.
+//! access for `syn`) and enforces nine rules.
 //!
-//! Rules 1–5 are per-file token rules; rules 6–8 are *graph* rules
+//! Rules 1–5 and 9 are per-file token rules; rules 6–8 are *graph* rules
 //! built on a per-function model of the workspace (lock-guard
 //! acquisitions with hold spans, an approximate intra-crate call
 //! graph, blocking-call sites, and the wire-schema inventory — see
@@ -50,6 +50,11 @@
 //!   `*_to_value`/`*_from_value` pairs must agree: no duplicate tags,
 //!   no encode-only or decode-only tags/variants, no codec arms for
 //!   retired variants.
+//! * **L9 `unsafe-confinement`** — the `unsafe` keyword appears only in
+//!   `crates/transport/src/sys.rs` (the `poll(2)` call behind the TCP
+//!   reader pool), `allow(unsafe_code)` only on that module's
+//!   declaration, and every crate root keeps `#![forbid(unsafe_code)]`
+//!   (eden-transport's: `#![deny(unsafe_code)]`).
 //!
 //! Findings can be suppressed with a `// eden-lint: allow(<rule>)`
 //! comment on the offending line or on the line directly above it;
@@ -71,7 +76,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::path::Path;
 
-/// The eight invariants eden-lint enforces.
+/// The nine invariants eden-lint enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
     /// L1: kernel work flows through the virtual-processor pool.
@@ -91,11 +96,14 @@ pub enum Rule {
     BlockingDiscipline,
     /// L8: tags, enum variants and Value codecs agree.
     WireSchemaDrift,
+    /// L9: `unsafe` only in the transport's `sys` module; every other
+    /// crate forbids it.
+    UnsafeConfinement,
 }
 
 impl Rule {
     /// Every rule, in report order.
-    pub const ALL: [Rule; 8] = [
+    pub const ALL: [Rule; 9] = [
         Rule::PoolDiscipline,
         Rule::CapabilityDiscipline,
         Rule::WireExhaustiveness,
@@ -104,6 +112,7 @@ impl Rule {
         Rule::LockOrder,
         Rule::BlockingDiscipline,
         Rule::WireSchemaDrift,
+        Rule::UnsafeConfinement,
     ];
 
     /// The stable kebab-case name used in reports and suppressions.
@@ -117,6 +126,7 @@ impl Rule {
             Rule::LockOrder => "lock-order",
             Rule::BlockingDiscipline => "blocking-discipline",
             Rule::WireSchemaDrift => "wire-schema-drift",
+            Rule::UnsafeConfinement => "unsafe-confinement",
         }
     }
 
@@ -182,9 +192,10 @@ impl Rule {
                  `// eden-lint: allow(lock-order): <rationale>` — the rationale is required."
             }
             Rule::BlockingDiscipline => {
-                "A virtual processor that blocks (recv_timeout, wait, sleep, fsync, \
-                 connect/dial, join) starves the run queue; any such call inside a \
-                 submit(…) closure, or in a function reachable from one, must be wrapped \
+                "A virtual processor that blocks (recv_timeout, wait — including the TCP \
+                 reader's sys::wait readiness wait —, sleep, fsync, connect/dial, join, \
+                 poll) starves the run queue; any such call inside a submit(…) closure or \
+                 boxed pool job, or in a function reachable from one, must be wrapped \
                  in VirtualProcessorPool::blocking(…) so the pool injects a spare worker. \
                  Escape: `// eden-lint: allow(blocking-discipline): <rationale>` — the \
                  rationale is required."
@@ -197,6 +208,15 @@ impl Rule {
                  variants are all flagged. Escape: \
                  `// eden-lint: allow(wire-schema-drift): <rationale>` — the rationale is \
                  required."
+            }
+            Rule::UnsafeConfinement => {
+                "Memory safety is the compiler's job everywhere but one audited module: \
+                 the `unsafe` keyword may appear only in crates/transport/src/sys.rs (the \
+                 poll(2) call std does not wrap, behind a safe wait()), `allow(unsafe_code)` \
+                 only on that module's declaration in eden-transport's lib.rs, and every \
+                 crate root must keep `#![forbid(unsafe_code)]` (eden-transport: \
+                 `#![deny(unsafe_code)]`). Wrap new unsafe operations in sys.rs instead. \
+                 Escape: `// eden-lint: allow(unsafe-confinement)` on the line."
             }
         }
     }
@@ -447,7 +467,7 @@ fn skip_path(rel_path: &str) -> bool {
     })
 }
 
-/// Scans one file's source with the per-file rules (1–5), applying
+/// Scans one file's source with the per-file rules (1–5, 9), applying
 /// every rule whose path scope matches `rel_path` (workspace-relative,
 /// forward slashes). The graph rules need the whole file set — use
 /// [`scan_files`] or [`scan_workspace`] for those.
@@ -462,6 +482,7 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
     rules::wire_exhaustive::check(rel_path, &model, &mut findings);
     rules::panic::check(rel_path, &model, &mut findings);
     rules::metric::check(rel_path, &model, &mut findings);
+    rules::unsafe_code::check(rel_path, &model, &mut findings);
 
     let suppressions = lexer::collect_suppressions(&model);
     for f in &mut findings {
@@ -481,12 +502,12 @@ pub struct Analysis {
     pub lock_dot: String,
 }
 
-/// Scans a file set (`(rel_path, source)` pairs) with all eight rules.
+/// Scans a file set (`(rel_path, source)` pairs) with all nine rules.
 pub fn scan_files(files: &[(String, String)], spec: &LockOrderSpec) -> Report {
     analyze_files(files, spec).report
 }
 
-/// Scans a file set with all eight rules and renders the lock graph.
+/// Scans a file set with all nine rules and renders the lock graph.
 pub fn analyze_files(files: &[(String, String)], spec: &LockOrderSpec) -> Analysis {
     let mut report = Report::default();
     let in_scope: Vec<(String, String)> = files

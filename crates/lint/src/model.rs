@@ -37,7 +37,10 @@ use crate::lexer::{
 const LOCK_METHODS: [&str; 3] = ["lock", "read", "write"];
 
 /// Blocking operations a pool worker must wrap in `blocking()`.
-pub(crate) const BLOCKING_METHODS: [&str; 8] = [
+/// `wait` also covers the TCP reader pool's readiness wait
+/// (`sys::wait`, a `poll(2)` over its sockets); `poll` covers raw
+/// readiness waits.
+pub(crate) const BLOCKING_METHODS: [&str; 9] = [
     "recv_timeout",
     "wait",
     "wait_timeout",
@@ -46,6 +49,7 @@ pub(crate) const BLOCKING_METHODS: [&str; 8] = [
     "connect",
     "dial",
     "join",
+    "poll",
 ];
 
 /// Call names that never resolve to interesting first-party functions
@@ -103,7 +107,8 @@ pub(crate) struct CallSite {
     pub(crate) at: usize,
     /// Inside a `blocking(…)` guard argument (spare-injection scope).
     pub(crate) guarded: bool,
-    /// Inside a `submit(…)`/`submit_traced(…)` closure argument.
+    /// Inside a `submit(…)`/`submit_traced(…)` closure argument, or a
+    /// closure boxed as a pool job (`Box::new(move || …)`).
     pub(crate) in_submit: bool,
     /// Inside a `spawn(…)` closure argument (runs on a fresh thread).
     pub(crate) in_spawn: bool,
@@ -401,7 +406,8 @@ fn extract_fns(model: &SourceModel, all_lock_fields: &BTreeSet<String>) -> Vec<F
     // and `spawn(…)` (whose closure runs later, on a fresh thread, with
     // none of the spawner's guards held).
     let blocking_spans = call_arg_spans(code, &["blocking"]);
-    let submit_spans = call_arg_spans(code, &["submit", "submit_traced"]);
+    let mut submit_spans = call_arg_spans(code, &["submit", "submit_traced"]);
+    submit_spans.extend(boxed_closure_spans(code));
     let spawn_spans = call_arg_spans(code, &["spawn"]);
     let covered =
         |spans: &Vec<(usize, usize)>, at: usize| spans.iter().any(|&(s, e)| s < at && at < e);
@@ -527,6 +533,33 @@ fn call_arg_spans(code: &str, names: &[&str]) -> Vec<(usize, usize)> {
             if let Some(close) = matching_paren_fwd(code, open) {
                 spans.push((open, close));
             }
+        }
+    }
+    spans
+}
+
+/// Argument spans of `Box::new(move || …)` / `Box::new(|…| …)`: a boxed
+/// closure is a job built now and run later by whoever receives the
+/// box (the kernel hands them to the pool via `submit_batch`), so its
+/// body runs on a pool worker — not on this stack, under this
+/// function's guards. Treated exactly like a `submit(…)` closure.
+fn boxed_closure_spans(code: &str) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    for at in word_occurrences(code, "new") {
+        if !code[..at].ends_with("Box::") {
+            continue;
+        }
+        let open = at + "new".len();
+        if code.as_bytes().get(open) != Some(&b'(') {
+            continue;
+        }
+        let arg = code[open + 1..].trim_start();
+        let arg = arg.strip_prefix("move").map_or(arg, str::trim_start);
+        if !arg.starts_with('|') {
+            continue;
+        }
+        if let Some(close) = matching_paren_fwd(code, open) {
+            spans.push((open, close));
         }
     }
     spans

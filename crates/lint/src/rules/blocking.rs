@@ -1,10 +1,11 @@
 //! L7 `blocking-discipline`: a virtual-processor worker must not block
-//! the processor. Blocking operations (`recv_timeout`, `wait`,
-//! `wait_timeout`, `sleep`, `fsync`, `connect`, `dial`, `join`) that
-//! are lexically inside a `submit(…)`/`submit_traced(…)` closure, or
-//! inside a function reachable (same-crate, name-resolved call graph)
-//! from one, must be wrapped in the pool's `blocking(…)` spare-
-//! injection guard.
+//! the processor. Blocking operations (`recv_timeout`, `wait` —
+//! including the TCP reader's `sys::wait` readiness wait —,
+//! `wait_timeout`, `sleep`, `fsync`, `connect`, `dial`, `join`, `poll`)
+//! that are lexically inside a `submit(…)`/`submit_traced(…)` closure or
+//! a boxed pool job (`Box::new(move || …)`), or inside a function
+//! reachable (same-crate, name-resolved call graph) from one, must be
+//! wrapped in the pool's `blocking(…)` spare-injection guard.
 //!
 //! `crates/core/src/vproc.rs` is out of scope: it *is* the pool — its
 //! condvar waits are the scheduler, and `blocking()` itself must block.

@@ -21,4 +21,17 @@ impl Node {
             self.done.wait_timeout(&mut slot, TIMEOUT); // lexically in the closure
         });
     }
+
+    fn boxed_job(&self) -> Box<dyn FnOnce() + Send> {
+        // A boxed job runs on a pool worker just like a submit closure.
+        Box::new(move || {
+            sys::wait(&mut fds, None); // readiness wait on a pool worker
+        })
+    }
+
+    fn readiness(&self) {
+        self.pool.submit(move || {
+            self.poller.poll(&mut events, None); // raw readiness wait
+        });
+    }
 }

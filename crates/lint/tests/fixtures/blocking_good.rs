@@ -17,6 +17,14 @@ impl Node {
         self.cv.wait(&mut guard); // only reached under blocking()
     }
 
+    fn reader(&self) {
+        std::thread::spawn(move || loop {
+            sys::wait(&mut fds, None); // a dedicated reader thread waits on readiness
+        });
+        let waited = self.pool.blocking(|| sys::wait(&mut fds, TIMEOUT));
+        self.fanout(waited);
+    }
+
     fn fanout(&self, out: u64) {
         std::thread::spawn(move || {
             std::thread::sleep(NAP); // a dedicated thread is allowed to block

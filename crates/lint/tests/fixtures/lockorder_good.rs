@@ -23,6 +23,20 @@ impl S {
         drop(a);
     }
 
+    fn deferred(&self) {
+        let b = self.beta.lock();
+        // A job boxed under the guard runs later on a pool worker, not
+        // on this stack: taking alpha inside it is no inversion.
+        let job: Box<dyn FnOnce() + Send> = Box::new(move || self.take_alpha());
+        self.pool.submit_batch(vec![job]);
+        drop(b);
+    }
+
+    fn take_alpha(&self) {
+        let a = self.alpha.lock();
+        drop(a);
+    }
+
     fn exempted(&self) {
         let b = self.beta.lock();
         // eden-lint: allow(lock-order): startup-only path, runs before any

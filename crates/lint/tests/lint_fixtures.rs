@@ -1,4 +1,4 @@
-//! Fixture suite for the eight eden-lint rules: each rule has at least
+//! Fixture suite for the nine eden-lint rules: each rule has at least
 //! one known-good and one known-bad snippet with exact expected finding
 //! counts, plus suppression fixtures proving `eden-lint: allow(...)`
 //! comments cover (and count) findings — with a mandatory rationale for
@@ -25,7 +25,7 @@ fn scan_fixture(fixture: &str, virtual_path: &str) -> Vec<Finding> {
     scan_source(virtual_path, &fixture_source(fixture))
 }
 
-/// Loads fixtures as a virtual workspace and runs all eight rules.
+/// Loads fixtures as a virtual workspace and runs all nine rules.
 fn scan_graph(fixtures: &[(&str, &str)], spec: &LockOrderSpec) -> Vec<Finding> {
     let files: Vec<(String, String)> = fixtures
         .iter()
@@ -255,7 +255,7 @@ fn blocking_discipline_flags_direct_transitive_and_lexical_sites() {
     let findings = scan_graph(&[("blocking_bad.rs", "crates/core/src/work.rs")], &spec);
     assert_eq!(
         count(&findings, Rule::BlockingDiscipline, false),
-        3,
+        5,
         "{findings:?}"
     );
     let messages: Vec<&str> = findings
@@ -265,6 +265,15 @@ fn blocking_discipline_flags_direct_transitive_and_lexical_sites() {
         .collect();
     assert!(messages.iter().any(|m| m.contains("`.sleep(…)`")));
     assert!(messages.iter().any(|m| m.contains("`.wait(…)`")));
+    // The transport's readiness wait (`sys::wait`, inside a boxed pool
+    // job) and a raw `poll` are blocking too.
+    let lines: Vec<usize> = findings
+        .iter()
+        .filter(|f| f.rule == Rule::BlockingDiscipline)
+        .map(|f| f.line)
+        .collect();
+    assert!(lines.contains(&28), "{findings:?}");
+    assert!(messages.iter().any(|m| m.contains("`.poll(…)`")));
     assert!(messages
         .iter()
         .any(|m| m.contains("inside a pool submit closure")));
@@ -322,6 +331,38 @@ fn wire_drift_accepts_a_consistent_schema() {
         0,
         "{findings:?}"
     );
+}
+
+#[test]
+fn unsafe_confinement_flags_unsafe_allows_and_unforbidding_roots() {
+    let findings = scan_fixture("unsafe_bad.rs", "crates/core/src/lib.rs");
+    assert_eq!(
+        count(&findings, Rule::UnsafeConfinement, false),
+        3,
+        "{findings:?}"
+    );
+    let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, vec![1, 6, 9], "{findings:?}");
+    assert!(findings[0].message.contains("#![forbid(unsafe_code)]"));
+    // The same source as an ordinary module: only the keyword and the
+    // allow are findings.
+    let findings = scan_fixture("unsafe_bad.rs", "crates/core/src/fast.rs");
+    assert_eq!(count(&findings, Rule::UnsafeConfinement, false), 2);
+}
+
+#[test]
+fn unsafe_confinement_accepts_the_sys_module() {
+    let findings = scan_fixture("unsafe_good.rs", "crates/transport/src/sys.rs");
+    assert_eq!(findings.len(), 0, "{findings:?}");
+    // The transport root must deny (not forbid) so `sys` can allow.
+    let root = "#![deny(unsafe_code)]\n#[allow(unsafe_code)]\nmod sys;\n";
+    assert!(scan_source("crates/transport/src/lib.rs", root).is_empty());
+    let forbidding = "#![forbid(unsafe_code)]\nmod tcp;\n";
+    let findings = scan_source("crates/transport/src/lib.rs", forbidding);
+    assert_eq!(count(&findings, Rule::UnsafeConfinement, false), 1);
+    // Anywhere else, the same unsafe is a finding.
+    let findings = scan_fixture("unsafe_good.rs", "crates/transport/src/tcp.rs");
+    assert_eq!(count(&findings, Rule::UnsafeConfinement, false), 1);
 }
 
 #[test]

@@ -10,9 +10,10 @@
 //!   optional per-frame latency models, seeded random loss, and link
 //!   partitioning for failure experiments. This is the default harness
 //!   fabric: a whole five-node Eden (Figure 1) runs in one process.
-//! * [`TcpMesh`] — length-prefixed frames over `std::net` TCP with a
-//!   thread per connection, for *multi-process* Eden clusters on one
-//!   machine (or a real LAN).
+//! * [`TcpMesh`] — length-prefixed frames over `std::net` TCP, for
+//!   *multi-process* Eden clusters on one machine (or a real LAN): a
+//!   writer thread per destination, and a fixed pool of reader threads
+//!   that block in `poll(2)` over every inbound connection.
 //! * The `eden-ethersim` crate is the third face of the
 //!   network: the same Ethernet, modelled offline for the E7 experiments.
 //!   Its calibrated latency figures can be fed back into
@@ -23,11 +24,15 @@
 //! sender. The kernel's request/reply and timeout machinery tolerates
 //! loss; nothing assumes reliability.
 
-#![forbid(unsafe_code)]
+// `unsafe` is confined to the private `sys` module (the `poll(2)` call
+// std does not wrap); eden-lint checks that nothing else uses it.
+#![deny(unsafe_code)]
 
 pub mod latency;
 pub mod mesh;
 pub mod stats;
+#[allow(unsafe_code)]
+mod sys;
 pub mod tcp;
 pub mod writer;
 

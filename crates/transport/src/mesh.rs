@@ -51,7 +51,7 @@ pub fn message_size_hint(msg: &Message) -> usize {
     match msg {
         Message::InvokeRequest {
             operation, args, ..
-        } => 40 + operation.len() + args.iter().map(|v| v.wire_size()).sum::<usize>(),
+        } => 48 + operation.len() + args.iter().map(|v| v.wire_size()).sum::<usize>(),
         Message::InvokeReply { results, .. } => {
             16 + results.iter().map(|v| v.wire_size()).sum::<usize>()
         }

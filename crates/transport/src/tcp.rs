@@ -15,17 +15,19 @@
 //!
 //! The receive side is a small *fixed* pool of reader threads
 //! (`eden-tcp-rdr-<node>-<i>`) multiplexing every inbound connection
-//! over non-blocking sockets: the accept loop hands each new stream to
-//! a reader round-robin, and each reader rotates over its connections,
-//! draining everything available per pass and decoding complete frames
-//! zero-copy ([`Frame::decode_shared`] slices the per-connection
-//! receive buffer). Everything decoded in one pass is pushed to the
-//! kernel as a single `Vec<Frame>` batch — one channel operation per
-//! wakeup, however many frames the senders coalesced — which
-//! [`Endpoint::recv_batch`] hands through intact. Thread count is
-//! [`TcpTuning::reader_threads`] at most, flat as peers scale; the
-//! seed's thread-per-connection reader (and its leak of accepted
-//! stream handles) is gone.
+//! over non-blocking sockets. Each reader blocks in one `poll(2)` call
+//! (see [`sys`](crate::sys)) over its connections plus a wake pipe, so
+//! a frame is read the moment it lands and an idle reader costs no CPU.
+//! The accept loop hands each new stream to a reader round-robin and
+//! writes one byte to that reader's wake pipe; after a wakeup the reader
+//! pumps only the connections `poll` reported, draining up to a per-pass
+//! budget each and decoding complete frames zero-copy
+//! ([`Frame::decode_shared`] slices the per-connection receive buffer).
+//! Everything decoded in one pass is pushed to the kernel as a single
+//! `Vec<Frame>` batch — one channel operation per wakeup, however many
+//! frames the senders coalesced — which [`Endpoint::recv_batch`] hands
+//! through intact. Thread count is [`TcpTuning::reader_threads`] at
+//! most, flat as peers scale.
 //!
 //! Delivery remains best-effort to match the [`Endpoint`] contract: a
 //! peer that is down simply does not receive (its frames shed at the
@@ -38,8 +40,9 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Read};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -52,6 +55,7 @@ use eden_wire::{Dest, Frame, WireDecode, WireEncode};
 use parking_lot::Mutex;
 
 use crate::stats::{StatsCell, TransportStats};
+use crate::sys::{self, PollFd};
 use crate::writer::{SendPipeline, TcpTuning};
 use crate::{Endpoint, TransportError};
 
@@ -63,11 +67,6 @@ const MAX_FRAME_BYTES: u32 = 64 << 20;
 /// `bytes_sent` and `bytes_received` so the monitor's send/recv byte
 /// columns agree with each other and with the wire.
 const LEN_PREFIX_BYTES: usize = 4;
-
-/// How long an idle reader naps between rotation passes. Short enough
-/// that shutdown and a quiet connection's next frame are both observed
-/// promptly; long enough that 4 idle readers cost ~nothing.
-const READER_NAP: Duration = Duration::from_millis(1);
 
 /// Per-pass read budget per connection, so one firehose socket cannot
 /// starve the other connections multiplexed onto the same reader.
@@ -113,9 +112,10 @@ struct TcpInner {
     /// Inbound connections accepted so far (test observability for the
     /// one-connection-per-peer invariant).
     inbound_accepted: AtomicU64,
-    /// The fixed reader pool's join handles (at most
-    /// `tuning.reader_threads`, spawned lazily as connections arrive).
-    reader_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// The fixed reader pool (at most `tuning.reader_threads`, spawned
+    /// lazily as connections arrive): join handles plus the write ends
+    /// of the readers' wake pipes, which `shutdown` pokes.
+    readers: Mutex<Vec<ReaderHandle>>,
     /// Receiving node's registry, for the inbound-drop counter and
     /// flight-recorder events (`None` until `attach_obs`).
     obs: Mutex<Option<Arc<ObsRegistry>>>,
@@ -170,7 +170,7 @@ impl TcpMesh {
             stats,
             closed: AtomicBool::new(false),
             inbound_accepted: AtomicU64::new(0),
-            reader_threads: Mutex::new(Vec::new()),
+            readers: Mutex::new(Vec::new()),
             obs: Mutex::new(None),
         });
 
@@ -178,12 +178,12 @@ impl TcpMesh {
         let accept_thread = std::thread::Builder::new()
             .name(format!("eden-tcp-accept-{}", config.node))
             .spawn(move || {
-                // Reader intake channels, created lazily: the first
-                // `reader_cap` connections each bring a reader up; every
-                // connection after that joins an existing reader
-                // round-robin. A mostly-client endpoint thus runs one
-                // reader; a 64-peer server still runs `reader_cap`.
-                let mut readers: Vec<Sender<TcpStream>> = Vec::new();
+                // Reader intakes, created lazily: the first `reader_cap`
+                // connections each bring a reader up; every connection
+                // after that joins an existing reader round-robin. A
+                // mostly-client endpoint thus runs one reader; a 64-peer
+                // server still runs `reader_cap`.
+                let mut readers: Vec<ReaderIntake> = Vec::new();
                 let mut next = 0usize;
                 for stream in listener.incoming() {
                     if accept_inner.closed.load(Ordering::Acquire) {
@@ -195,14 +195,8 @@ impl TcpMesh {
                         .inbound_accepted
                         .fetch_add(1, Ordering::Relaxed);
                     if readers.len() < reader_cap {
-                        let (conn_tx, conn_rx) = unbounded();
-                        let reader_inner = accept_inner.clone();
-                        let spawned = std::thread::Builder::new()
-                            .name(format!("eden-tcp-rdr-{}-{}", reader_inner.node, readers.len()))
-                            .spawn(move || reader_loop(&reader_inner, &conn_rx));
-                        if let Ok(handle) = spawned {
-                            accept_inner.reader_threads.lock().push(handle);
-                            readers.push(conn_tx);
+                        if let Some(intake) = spawn_reader(&accept_inner, readers.len()) {
+                            readers.push(intake);
                         }
                     }
                     if readers.is_empty() {
@@ -210,7 +204,12 @@ impl TcpMesh {
                     }
                     let slot = next % readers.len();
                     next = next.wrapping_add(1);
-                    let _ = readers[slot].send(stream);
+                    // Hand over first, then wake: the reader drains its
+                    // pipe before adopting, so the stream cannot be
+                    // missed.
+                    if readers[slot].conns.send(stream).is_ok() {
+                        wake(&readers[slot].wake);
+                    }
                 }
             })
             .map_err(|e| TransportError::Io(e.to_string()))?;
@@ -245,7 +244,7 @@ impl TcpMesh {
     /// [`TcpTuning::reader_threads`] no matter how many connections are
     /// accepted (the reader-pool invariant the E16 experiment asserts).
     pub fn reader_thread_count(&self) -> usize {
-        self.inner.reader_threads.lock().len()
+        self.inner.readers.lock().len()
     }
 
     /// Binds `n` endpoints on ephemeral loopback ports, fully meshed —
@@ -290,6 +289,50 @@ impl TcpMesh {
     }
 }
 
+/// The accept loop's side of one reader: where to hand it streams, and
+/// the write end of its wake pipe.
+struct ReaderIntake {
+    conns: Sender<TcpStream>,
+    wake: UnixStream,
+}
+
+/// `shutdown`'s side of one reader: its thread, and another handle on
+/// the write end of its wake pipe.
+struct ReaderHandle {
+    thread: std::thread::JoinHandle<()>,
+    wake: UnixStream,
+}
+
+/// Writes one byte to a reader's wake pipe. The write end is
+/// non-blocking: a full pipe already holds a pending wakeup, so
+/// `WouldBlock` (like a reader that has exited) is fine to ignore.
+fn wake(pipe: &UnixStream) {
+    let _ = (&*pipe).write(&[1]);
+}
+
+/// Starts reader `index` of the pool and registers it for shutdown.
+/// `None` if the pipe or the thread could not be created.
+fn spawn_reader(inner: &Arc<TcpInner>, index: usize) -> Option<ReaderIntake> {
+    let (wake_tx, wake_rx) = UnixStream::pair().ok()?;
+    wake_tx.set_nonblocking(true).ok()?;
+    wake_rx.set_nonblocking(true).ok()?;
+    let shutdown_wake = wake_tx.try_clone().ok()?;
+    let (conn_tx, conn_rx) = unbounded();
+    let reader_inner = Arc::clone(inner);
+    let thread = std::thread::Builder::new()
+        .name(format!("eden-tcp-rdr-{}-{}", inner.node, index))
+        .spawn(move || reader_loop(&reader_inner, &conn_rx, wake_rx))
+        .ok()?;
+    inner.readers.lock().push(ReaderHandle {
+        thread,
+        wake: shutdown_wake,
+    });
+    Some(ReaderIntake {
+        conns: conn_tx,
+        wake: wake_tx,
+    })
+}
+
 /// One inbound connection multiplexed onto a reader: its non-blocking
 /// stream, who is on the other end, and the accumulation buffer partial
 /// frames wait in between passes.
@@ -302,59 +345,75 @@ struct InboundConn {
 /// Why a reader cut an inbound connection (EOF and plain I/O errors are
 /// ordinary churn and carry no event).
 enum ConnFate {
-    /// Still open; `true` if the pass read any bytes.
-    Open(bool),
+    /// Still open.
+    Open,
     /// EOF or I/O error: the peer went away. Normal.
     Gone,
     /// Protocol violation: drop and record.
     Poisoned(InboundDropReason),
 }
 
-/// One reader of the fixed pool: adopts connections assigned by the
-/// accept loop, rotates over them draining whatever is readable, and
+/// One reader of the fixed pool: blocks in `poll(2)` until its wake
+/// pipe or one of its connections is readable, adopts connections
+/// assigned by the accept loop, drains the ready connections, and
 /// pushes each pass's decoded frames as one batch.
-fn reader_loop(inner: &Arc<TcpInner>, intake: &Receiver<TcpStream>) {
+fn reader_loop(inner: &Arc<TcpInner>, intake: &Receiver<TcpStream>, wake_rx: UnixStream) {
     let mut conns: Vec<InboundConn> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
     let mut chunk = vec![0u8; 64 << 10];
     let mut batch: Vec<Frame> = Vec::new();
+    // The first pass runs as if woken: the stream that caused this
+    // reader's spawn may already be waiting in `intake`.
+    let mut woken = true;
     loop {
-        if inner.closed.load(Ordering::Acquire) {
-            return;
-        }
-        // Adopt newly assigned connections.
-        loop {
-            match intake.try_recv() {
-                Ok(stream) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
+        if woken {
+            if inner.closed.load(Ordering::Acquire) {
+                return;
+            }
+            // Drain the pipe *before* adopting, so a hand-off that
+            // races this pass leaves its byte behind for the next poll.
+            while matches!((&wake_rx).read(&mut chunk), Ok(n) if n > 0) {}
+            loop {
+                match intake.try_recv() {
+                    Ok(stream) => {
+                        if stream.set_nonblocking(true).is_err() {
+                            continue;
+                        }
+                        let peer = stream
+                            .peer_addr()
+                            .unwrap_or_else(|_| "0.0.0.0:0".parse().expect("literal addr"));
+                        conns.push(InboundConn {
+                            stream,
+                            peer,
+                            buf: BytesMut::new(),
+                        });
                     }
-                    let peer = stream
-                        .peer_addr()
-                        .unwrap_or_else(|_| "0.0.0.0:0".parse().expect("literal addr"));
-                    conns.push(InboundConn {
-                        stream,
-                        peer,
-                        buf: BytesMut::new(),
-                    });
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    if conns.is_empty() {
-                        return; // Accept loop gone and nothing to drain.
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => {
+                        if conns.is_empty() {
+                            return; // Accept loop gone and nothing to drain.
+                        }
+                        break;
                     }
-                    break;
                 }
             }
         }
-        // One rotation pass over every connection.
-        let mut progress = false;
-        let mut i = 0;
-        while i < conns.len() {
+        // Slot 0 is the wake pipe; slot i + 1 is conns[i].
+        fds.clear();
+        fds.push(PollFd::readable(&wake_rx));
+        fds.extend(conns.iter().map(|c| PollFd::readable(&c.stream)));
+        if sys::wait(&mut fds, None).is_err() {
+            return; // Only EFAULT/EINVAL/ENOMEM: nothing to retry.
+        }
+        woken = fds[0].ready();
+        // Walk backwards so `swap_remove` only moves an already-visited
+        // connection into the freed slot.
+        for i in (0..conns.len()).rev() {
+            if !fds[i + 1].ready() {
+                continue;
+            }
             match pump_conn(inner, &mut conns[i], &mut chunk, &mut batch) {
-                ConnFate::Open(advanced) => {
-                    progress |= advanced;
-                    i += 1;
-                }
+                ConnFate::Open => {}
                 ConnFate::Gone => {
                     conns.swap_remove(i);
                 }
@@ -365,14 +424,8 @@ fn reader_loop(inner: &Arc<TcpInner>, intake: &Receiver<TcpStream>) {
                 }
             }
         }
-        if !batch.is_empty() {
-            progress = true;
-            if inner.rx_tx.send(std::mem::take(&mut batch)).is_err() {
-                return;
-            }
-        }
-        if !progress {
-            std::thread::sleep(READER_NAP);
+        if !batch.is_empty() && inner.rx_tx.send(std::mem::take(&mut batch)).is_err() {
+            return;
         }
     }
 }
@@ -385,7 +438,6 @@ fn pump_conn(
     chunk: &mut [u8],
     batch: &mut Vec<Frame>,
 ) -> ConnFate {
-    let mut advanced = false;
     let mut budget = READ_BUDGET_PER_PASS;
     let mut eof = false;
     while budget > 0 {
@@ -396,7 +448,6 @@ fn pump_conn(
             }
             Ok(n) => {
                 conn.buf.extend_from_slice(&chunk[..n]);
-                advanced = true;
                 budget = budget.saturating_sub(n);
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -445,7 +496,7 @@ fn pump_conn(
     if eof {
         ConnFate::Gone
     } else {
-        ConnFate::Open(advanced)
+        ConnFate::Open
     }
 }
 
@@ -465,7 +516,9 @@ impl Endpoint for TcpMesh {
         }
         let payload: Bytes =
             SCRATCH.with(|scratch| frame.encode_reusing(&mut scratch.borrow_mut()));
-        self.inner.stats.record_send(payload.len() + LEN_PREFIX_BYTES);
+        self.inner
+            .stats
+            .record_send(payload.len() + LEN_PREFIX_BYTES);
         match frame.dst {
             Dest::Node(dst) => self
                 .inner
@@ -562,11 +615,14 @@ impl Endpoint for TcpMesh {
         if let Some(h) = self.accept_thread.lock().take() {
             let _ = h.join();
         }
-        // ...and join the readers — they never block in reads (the
-        // sockets are non-blocking), so they observe the flag within one
-        // nap: drop(TcpMesh) leaves no live threads.
-        for h in self.inner.reader_threads.lock().drain(..) {
-            let _ = h.join();
+        // ...and wake and join the readers: each observes the flag on
+        // its wakeup, so drop(TcpMesh) leaves no live threads.
+        let readers = std::mem::take(&mut *self.inner.readers.lock());
+        for reader in &readers {
+            wake(&reader.wake);
+        }
+        for reader in readers {
+            let _ = reader.thread.join();
         }
     }
 }
@@ -700,6 +756,7 @@ mod tests {
             args: vec![eden_wire::Value::Blob(bytes::Bytes::from(blob.clone()))],
             reply_to: NodeId(0),
             hops: 1,
+            acked_below: 1,
         };
         meshes[0]
             .send(Frame::to(NodeId(0), NodeId(1), msg.clone()))

@@ -81,7 +81,8 @@ pub struct TcpTuning {
     /// `eden-tcp-rdr-*` threads multiplex every accepted connection
     /// (spawned lazily as connections arrive, so an endpoint with one
     /// inbound connection runs one reader). Thread count stays flat as
-    /// peers scale; the rotation granularity is ~1ms when idle.
+    /// peers scale; an idle reader blocks in `poll(2)` and wakes the
+    /// moment one of its connections is readable.
     pub reader_threads: usize,
 }
 

@@ -129,6 +129,11 @@ pub enum Message {
         /// Remaining forwarding budget; decremented per hop so forwarding
         /// chains (after moves) terminate.
         hops: u8,
+        /// The caller's acknowledgement watermark: every invocation id of
+        /// `reply_to` below this one has its reply (or was given up on),
+        /// so the serving kernel may drop those cached replies. The
+        /// caller's lowest still-pending id; forwarders pass it through.
+        acked_below: u64,
     },
     /// The status and return parameters of a completed invocation.
     InvokeReply {
@@ -225,6 +230,9 @@ pub enum Message {
         name: ObjName,
         /// Node to reply to.
         reply_to: NodeId,
+        /// A specific store version (an object reading its own past
+        /// checkpoint), or `None` for the latest.
+        version: Option<u64>,
     },
     /// Deliver (or refuse) a checkpoint.
     CheckpointData {
@@ -548,6 +556,7 @@ impl WireEncode for Message {
                 args,
                 reply_to,
                 hops,
+                acked_below,
             } => {
                 w.put_u8(TAG_INVOKE_REQUEST);
                 w.put_u64(*inv_id);
@@ -556,6 +565,7 @@ impl WireEncode for Message {
                 w.put_seq(args);
                 reply_to.encode(w);
                 w.put_u8(*hops);
+                w.put_u64(*acked_below);
             }
             Message::InvokeReply {
                 inv_id,
@@ -655,11 +665,13 @@ impl WireEncode for Message {
                 req_id,
                 name,
                 reply_to,
+                version,
             } => {
                 w.put_u8(TAG_CHECKPOINT_FETCH);
                 w.put_u64(*req_id);
                 name.encode(w);
                 reply_to.encode(w);
+                w.put_option(version);
             }
             Message::CheckpointData {
                 req_id,
@@ -758,6 +770,7 @@ impl WireDecode for Message {
                 args: r.get_seq()?,
                 reply_to: NodeId::decode(r)?,
                 hops: r.get_u8()?,
+                acked_below: r.get_u64()?,
             }),
             TAG_INVOKE_REPLY => Ok(Message::InvokeReply {
                 inv_id: r.get_u64()?,
@@ -810,6 +823,7 @@ impl WireDecode for Message {
                 req_id: r.get_u64()?,
                 name: ObjName::decode(r)?,
                 reply_to: NodeId::decode(r)?,
+                version: r.get_option()?,
             }),
             TAG_CHECKPOINT_DATA => Ok(Message::CheckpointData {
                 req_id: r.get_u64()?,
@@ -946,6 +960,7 @@ mod tests {
                 args: vec![Value::Str("this is a new line".into())],
                 reply_to: NodeId(0),
                 hops: 4,
+                acked_below: 0,
             },
             Message::InvokeReply {
                 inv_id: 1,
@@ -998,6 +1013,7 @@ mod tests {
                 req_id: 6,
                 name,
                 reply_to: NodeId(5),
+                version: None,
             },
             Message::CheckpointData {
                 req_id: 6,
@@ -1068,6 +1084,19 @@ mod tests {
             let back = Frame::decode_from_bytes(&buf).unwrap();
             assert_eq!(back, frame, "variant {}", msg.label());
         }
+    }
+
+    #[test]
+    fn versioned_checkpoint_fetch_round_trips() {
+        let msg = Message::CheckpointFetch {
+            req_id: 7,
+            name: sample_name(),
+            reply_to: NodeId(5),
+            version: Some(41),
+        };
+        let frame = Frame::to(NodeId(8), NodeId(9), msg);
+        let buf = frame.encode_to_bytes();
+        assert_eq!(Frame::decode_from_bytes(&buf).unwrap(), frame);
     }
 
     #[test]
@@ -1183,6 +1212,7 @@ mod tests {
                 ],
                 reply_to: NodeId(3),
                 hops: 2,
+                acked_below: 0,
             });
             let buf = frame.encode_to_bytes();
             let copied = Frame::decode_from_bytes(&buf).unwrap();
@@ -1210,6 +1240,7 @@ mod tests {
                     args: vec![Value::U64(inv_id)],
                     reply_to: NodeId(1),
                     hops: 3,
+                    acked_below: 0,
                 },
                 Message::Ping { token },
             ] {
@@ -1247,6 +1278,7 @@ mod tests {
             inv_id in 0u64..,
             op in "[a-z]{1,12}",
             hops in 0u8..,
+            acked_below in 0u64..,
             payload in proptest::collection::vec(0u8.., 0..256),
         ) {
             let msg = Message::InvokeRequest {
@@ -1256,6 +1288,7 @@ mod tests {
                 args: vec![Value::Blob(bytes::Bytes::from(payload))],
                 reply_to: NodeId(1),
                 hops,
+                acked_below,
             };
             let frame = Frame::broadcast(NodeId(0), msg);
             let buf = frame.encode_to_bytes();
