@@ -31,7 +31,7 @@ use eden_kernel::{
 };
 use eden_obs::TraceSampling;
 use eden_store::MemStore;
-use eden_transport::{Endpoint, TcpMesh, TcpTuning};
+use eden_transport::{TcpMesh, TcpTuning};
 use eden_wire::{Status, Value};
 
 use crate::artifact_path;
@@ -78,7 +78,6 @@ impl TypeManager for Echo {
 fn server_config() -> NodeConfig {
     NodeConfig {
         virtual_processors: 4,
-        vproc_workers: 8,
         // Headroom over the largest burst (64 conns x 32 window): the
         // run measures throughput, not the Overloaded shed path.
         vproc_queue_cap: 8192,
@@ -99,7 +98,6 @@ fn server_config() -> NodeConfig {
 fn client_config() -> NodeConfig {
     NodeConfig {
         virtual_processors: 1,
-        vproc_workers: 1,
         trace_sampling: TraceSampling::Ratio(0),
         enable_retransmission: false,
         default_invoke_timeout: CALL_BUDGET,

@@ -39,7 +39,7 @@ fn batch_seconds(vprocs: usize, cpu_bound: bool) -> f64 {
     let (type_name, op, arg): (String, &str, Value) = if cpu_bound {
         (SpinType::NAME.to_string(), "spin", Value::U64(SPIN_ITERS))
     } else {
-        // Class limit 16 ≥ TASKS: the vproc gate is the only limiter.
+        // Class limit 16 ≥ TASKS: the virtual processors are the only limiter.
         (HoldType::name_for(16), "hold_ms", Value::U64(HOLD_MS))
     };
     let cap = cluster

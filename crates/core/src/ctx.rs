@@ -126,11 +126,12 @@ impl<'a> OpCtx<'a> {
 
     /// Invokes an operation on another object, location-independently.
     ///
-    /// The calling invocation process blocks (its virtual processor is
-    /// yielded while waiting, so nested invocation cannot starve the
-    /// node).
+    /// The calling invocation process blocks. While it waits it gives
+    /// its virtual processor up, so the invocation it waits for can run
+    /// even on a one-processor node; it takes a processor back before it
+    /// resumes.
     pub fn invoke(&self, cap: Capability, op: &str, args: &[Value]) -> Result<Vec<Value>> {
-        self.node.invoke_nested(cap, op, args)
+        self.node.invoke(cap, op, args)
     }
 
     /// Creates a new object of `type_name` on this node, returning its

@@ -10,18 +10,17 @@
 //! [`Node`] is one kernel instance. Its pieces:
 //!
 //! * an **object table** (the virtual memory) of [`ObjectSlot`]s;
-//! * a **virtual-processor pool** ([`VirtualProcessorPool`]): a bounded
-//!   set of [`NodeConfig::vproc_workers`] worker threads that executes
-//!   every invocation process, async invoke, move, reincarnation and
-//!   redelivery — the paper's fixed processor complement (§3). Excess
-//!   work queues up to [`NodeConfig::vproc_queue_cap`], past which the
-//!   kernel sheds load with [`Status::Overloaded`];
-//! * a **virtual-processor gate**: of the pooled invocation processes,
-//!   only [`NodeConfig::virtual_processors`] *execute* concurrently; a
-//!   process yields its processor while blocked in a nested invocation,
-//!   so nesting can never deadlock the node (the default of 2 mirrors
-//!   the two GDPs of the default Eden node machine, "field upgradable"
-//!   to 4 — see experiment F2);
+//! * the **virtual processors** ([`VirtualProcessorPool`]): the pool
+//!   runs every invocation process, move and reincarnation, and at
+//!   most [`NodeConfig::virtual_processors`] of its workers run
+//!   at once — the paper's fixed processor complement (§3; the default
+//!   of 2 mirrors the two GDPs of the default node machine, "field
+//!   upgradable" to 4 — see experiment F2). A process gives its
+//!   processor up while it waits for a nested or remote invocation and
+//!   takes one back before it resumes, so nesting can never deadlock
+//!   the node. Excess work queues up to
+//!   [`NodeConfig::vproc_queue_cap`], past which the kernel sheds load
+//!   with [`Status::Overloaded`];
 //! * the **location service**: hint cache → birth-node hint → broadcast
 //!   `WhereIs` → forwarding addresses, realizing the location-independent
 //!   object address space of §2;
@@ -29,7 +28,7 @@
 //!   reincarnation (§4.4), move (§4.3), freeze + replica caching (§4.3);
 //! * a **receive loop** servicing the kernel-to-kernel protocol.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -53,19 +52,15 @@ use crate::lru::LruMap;
 use crate::metrics::{KernelMetrics, MetricsCell};
 pub use crate::object::ReliabilityLevel;
 use crate::object::{
-    Checksite, CoordState, ObjStatus, ObjectSlot, PendingInvocation, ReplySink, CHECKSITE_SEGMENT,
+    Checksite, CoordState, LocalReply, ObjStatus, ObjectSlot, PendingInvocation, ReplySink,
+    CHECKSITE_SEGMENT,
 };
 use crate::repr::Representation;
-use crate::sync::EdenSemaphore;
 use crate::types::TypeRegistry;
-use crate::vproc::{SubmitError, VirtualProcessorPool, VprocStats};
+use crate::vproc::{VirtualProcessorPool, VprocStats};
 use crate::waiter::{LocationAnswer, QueryCollector, Waiter};
 
 thread_local! {
-    /// Whether the current thread holds a virtual-processor token (set
-    /// inside invocation processes so nested invokes know to yield it).
-    static HOLDS_VPROC: Cell<bool> = const { Cell::new(false) };
-
     /// Active deferred-dispatch collector. Set by the receive loop while
     /// it handles a multi-frame batch: `pump` pushes ready invocations
     /// here instead of submitting each to the pool individually, and the
@@ -94,7 +89,10 @@ struct DeferredDispatch {
 /// Kernel tuning parameters.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
-    /// Concurrent invocation executions (the node machine's GDPs).
+    /// The node machine's GDPs: the bound on pool workers running at
+    /// once. Invocation processes, moves and reincarnations all run on
+    /// them; a worker waiting for a nested or remote reply does not
+    /// count against it.
     pub virtual_processors: usize,
     /// Default invocation timeout when the invoker does not supply one.
     pub default_invoke_timeout: Duration,
@@ -127,12 +125,6 @@ pub struct NodeConfig {
     /// layer (client send, transport, dispatch, execute, reply) skips
     /// its span work for free.
     pub trace_sampling: TraceSampling,
-    /// Worker threads in the virtual-processor pool that runs every
-    /// invocation process, async invoke, move, reincarnation and
-    /// redelivery. `0` (the default) means auto: the host's available
-    /// parallelism, floored at [`NodeConfig::virtual_processors`] so
-    /// the configured invocation concurrency is always schedulable.
-    pub vproc_workers: usize,
     /// Bound on the pool's task queue. Past it the kernel sheds load
     /// with [`Status::Overloaded`] instead of queueing without limit —
     /// the backpressure contract a fan-out client must handle.
@@ -189,7 +181,6 @@ impl Default for NodeConfig {
             enable_location_cache: true,
             enable_retransmission: true,
             trace_sampling: TraceSampling::Always,
-            vproc_workers: 0,
             vproc_queue_cap: 1024,
             enable_directory: true,
             enable_broadcast_fallback: true,
@@ -234,15 +225,36 @@ pub(crate) enum ReplyMsg {
     Pong,
 }
 
-/// One pipelined request in flight: the registered reply waiter plus
+/// One remote request in flight: the registered reply waiter plus
 /// what `Node::pipeline_wait` needs to retransmit and to attribute the
-/// exchange (see `crate::pipeline::PipelinedClient`).
+/// exchange.
 pub(crate) struct PipelineTicket {
     pub(crate) inv_id: u64,
     pub(crate) dst: NodeId,
     pub(crate) waiter: Arc<Waiter<ReplyMsg>>,
     pub(crate) start_ns: u64,
+    /// The exchange's `client-send` span, recorded when it ends.
     pub(crate) trace: Option<TraceCtx>,
+}
+
+/// Whether a remote try's status ends the location search. Every
+/// status but `NoSuchObject` and `Timeout` is an *answer* from the
+/// object's real home — enumerated (not `_`) so a new wire status
+/// forces a decision about whether it ends the search.
+pub(crate) fn ends_search(status: &Status) -> bool {
+    match status {
+        Status::NoSuchObject | Status::Timeout => false,
+        Status::Ok
+        | Status::NoSuchOperation(_)
+        | Status::RightsViolation { .. }
+        | Status::ObjectCrashed
+        | Status::Frozen
+        | Status::TypeError(_)
+        | Status::NodeUnreachable
+        | Status::Destroyed
+        | Status::AppError { .. }
+        | Status::Overloaded => true,
+    }
 }
 
 /// At-most-once bookkeeping for remotely served invocations: requests
@@ -362,7 +374,6 @@ pub(crate) struct NodeInner {
     pending: Mutex<BTreeMap<u64, Arc<Waiter<ReplyMsg>>>>,
     store: Arc<dyn CheckpointStore>,
     endpoint: Arc<dyn Endpoint>,
-    gate: EdenSemaphore,
     vprocs: VirtualProcessorPool,
     next_id: AtomicU64,
     shutdown: AtomicBool,
@@ -414,22 +425,92 @@ pub struct ObjectInfo {
 
 /// A handle on an asynchronous invocation (§4.2 promises asynchronous
 /// invocation "through a separate kernel primitive"; this is it).
+///
+/// Starting the invocation never waits: a local (or locally
+/// reactivatable) object gets it queued at its coordinator, any other
+/// is sent to the best current guess of its holder. The thread that
+/// calls [`wait`](Self::wait) finishes it. Dropping the handle
+/// abandons the reply, not the invocation.
 pub struct InvocationHandle {
-    waiter: Arc<Waiter<Result<Vec<Value>>>>,
+    node: Node,
+    cap: Capability,
+    op: String,
+    args: Vec<Value>,
+    /// `None` once the result has been taken.
+    started: Mutex<Option<Started>>,
+}
+
+/// How far [`Node::invoke_async`] got without waiting.
+enum Started {
+    /// Queued at a coordinator on this node.
+    Local(LocalCall),
+    /// Sent to the first guess of a remote holder.
+    Remote(PipelineTicket),
+    /// No first guess could be sent: `wait` runs the full search.
+    Search,
+    /// Answered at once.
+    Done(Result<Vec<Value>>),
+}
+
+/// An invocation queued at a local coordinator, not yet waited for.
+struct LocalCall {
+    waiter: Arc<Waiter<LocalReply>>,
+    start_ns: u64,
+    trace: Option<TraceCtx>,
 }
 
 impl InvocationHandle {
-    /// Blocks until the invocation completes or `timeout` elapses.
+    /// Blocks until the invocation completes or `timeout` elapses. The
+    /// result is taken once; a later call reports a timeout.
+    ///
+    /// When the first guess of a remote holder answers that it does not
+    /// hold the object, the invocation never ran, and this falls back
+    /// to the full location search within the remaining budget.
     pub fn wait(&self, timeout: Duration) -> Result<Vec<Value>> {
-        match self.waiter.wait(timeout) {
-            Some(r) => r,
-            None => Err(EdenError::Invoke(Status::Timeout)),
-        }
+        let deadline = Instant::now() + timeout;
+        let Some(started) = self.started.lock().take() else {
+            return Err(EdenError::Invoke(Status::Timeout));
+        };
+        let (node, cap, op, args) = (&self.node, self.cap, &self.op, &self.args);
+        let search = || {
+            let left = deadline.saturating_duration_since(Instant::now());
+            node.invoke_with_timeout(cap, op, args, left)
+        };
+        let (status, results) = match started {
+            Started::Done(result) => return result,
+            Started::Local(call) => node.wait_local(&call, cap, op, args, deadline),
+            Started::Remote(ticket) => match node.pipeline_wait(&ticket, cap, op, args, timeout) {
+                (Status::NoSuchObject, ..) => return search(),
+                (status, results, _) => (status, results),
+            },
+            Started::Search => return search(),
+        };
+        node.invoke_result(status, results)
     }
 
-    /// Non-blocking poll.
+    /// Non-blocking poll: the result, if the invocation has completed.
+    /// An invocation still to be sent on (the object moved, or the
+    /// first guess was wrong) completes only through [`wait`](Self::wait).
     pub fn try_take(&self) -> Option<Result<Vec<Value>>> {
-        self.waiter.try_take()
+        let ready = match &*self.started.lock() {
+            Some(Started::Done(_)) => true,
+            Some(Started::Local(call)) => call
+                .waiter
+                .peek(|reply| matches!(reply, LocalReply::Done(..))),
+            Some(Started::Remote(ticket)) => ticket
+                .waiter
+                .peek(|reply| !matches!(reply, ReplyMsg::Invoke(Status::NoSuchObject, ..))),
+            Some(Started::Search) | None => false,
+        };
+        ready.then(|| self.wait(Duration::ZERO))
+    }
+}
+
+impl Drop for InvocationHandle {
+    fn drop(&mut self) {
+        if let Some(Started::Remote(ticket)) = self.started.get_mut().take() {
+            self.node.pipeline_abandon(ticket.inv_id);
+        }
     }
 }
 
@@ -447,14 +528,6 @@ impl Node {
         obs.set_sampling(config.trace_sampling.clone());
         endpoint.attach_obs(obs.clone());
         store.attach_obs(obs.clone());
-        let workers = if config.vproc_workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .max(config.virtual_processors.max(1))
-        } else {
-            config.vproc_workers
-        };
         let directory = if config.enable_directory {
             let gossip = GossipConfig {
                 probe_interval: config.gossip_interval,
@@ -474,8 +547,12 @@ impl Node {
         let cache_cap = config.location_cache_cap;
         let inner = Arc::new(NodeInner {
             id,
-            gate: EdenSemaphore::new(config.virtual_processors.max(1) as u64),
-            vprocs: VirtualProcessorPool::new(id, workers, config.vproc_queue_cap, &obs),
+            vprocs: VirtualProcessorPool::new(
+                id,
+                config.virtual_processors,
+                config.vproc_queue_cap,
+                &obs,
+            ),
             served: Mutex::new(ServedRequests::new(&config)),
             config,
             names: NameGenerator::new(id),
@@ -590,6 +667,27 @@ impl Node {
         let inv_id = self.fresh_id();
         pending.insert(inv_id, waiter);
         inv_id
+    }
+
+    /// One request/reply exchange with `dst`: registers a reply waiter
+    /// under a fresh id, sends the message `request` builds for that id
+    /// and waits up to `timeout` for the reply — as a blocking scope, so
+    /// a pool worker gives its processor up meanwhile.
+    fn request(
+        &self,
+        dst: NodeId,
+        timeout: Duration,
+        request: impl FnOnce(u64) -> Message,
+    ) -> Option<ReplyMsg> {
+        let waiter = Arc::new(Waiter::new());
+        let id = self.register_invocation(waiter.clone());
+        let _ = self
+            .inner
+            .endpoint
+            .send(Frame::to(self.inner.id, dst, request(id)));
+        let reply = self.inner.vprocs.blocking(|| waiter.wait(timeout));
+        self.inner.pending.lock().remove(&id);
+        reply
     }
 
     /// The acknowledgement watermark for outgoing invocation requests:
@@ -785,26 +883,17 @@ impl Node {
             let (holder, state) = dir.lock().answer_query(name);
             (state == DirState::Hit).then_some(holder).flatten()
         } else {
-            let query_id = self.fresh_id();
-            let waiter = Arc::new(Waiter::new());
-            self.inner.pending.lock().insert(query_id, waiter.clone());
-            let _ = self.inner.endpoint.send(Frame::to(
-                self.inner.id,
-                home,
-                Message::DirQuery {
-                    query_id,
-                    name,
-                    reply_to: self.inner.id,
-                },
-            ));
             let budget = self
                 .inner
                 .config
                 .locate_window
                 .min(deadline.saturating_duration_since(Instant::now()));
-            let result = self.inner.vprocs.blocking(|| waiter.wait(budget));
-            self.inner.pending.lock().remove(&query_id);
-            match result {
+            let reply = self.request(home, budget, |query_id| Message::DirQuery {
+                query_id,
+                name,
+                reply_to: self.inner.id,
+            });
+            match reply {
                 Some(ReplyMsg::DirAnswer(holder, state)) => {
                     (state == DirState::Hit).then_some(holder).flatten()
                 }
@@ -891,6 +980,11 @@ impl Node {
             return Err(EdenError::ShuttingDown);
         }
         let (status, results) = self.do_invoke(cap, op, args, timeout);
+        self.invoke_result(status, results)
+    }
+
+    /// An invocation's outcome as the caller sees it.
+    fn invoke_result(&self, status: Status, results: Vec<Value>) -> Result<Vec<Value>> {
         match status {
             Status::Ok => Ok(results),
             Status::Timeout => {
@@ -901,46 +995,35 @@ impl Node {
         }
     }
 
-    /// Starts an invocation without blocking; the returned handle
-    /// rendezvouses with the eventual result.
+    /// Starts an invocation without waiting for it; the returned
+    /// handle's [`wait`](InvocationHandle::wait) finishes it. No
+    /// virtual processor waits on its behalf.
     pub fn invoke_async(&self, cap: Capability, op: &str, args: &[Value]) -> InvocationHandle {
-        let waiter = Arc::new(Waiter::new());
-        let handle = InvocationHandle {
-            waiter: waiter.clone(),
+        let started = if self.inner.shutdown.load(Ordering::Acquire) {
+            Started::Done(Err(EdenError::ShuttingDown))
+        } else {
+            let root = self.detached_root(op);
+            match self.start_local(cap, op, args, root) {
+                Some(Ok(call)) => Started::Local(call),
+                Some(Err(status)) => Started::Done(Err(EdenError::Invoke(status))),
+                None => {
+                    let dst = self.pipeline_default_dst(cap.name());
+                    if dst == self.inner.id || self.peer_is_dead(dst) {
+                        Started::Search
+                    } else {
+                        self.pipeline_send(dst, cap, op, args, root)
+                            .map_or(Started::Search, Started::Remote)
+                    }
+                }
+            }
         };
-        let node = self.clone();
-        let op = op.to_string();
-        let args = args.to_vec();
-        let task_waiter = waiter.clone();
-        if let Err(e) = self.inner.vprocs.submit(move || {
-            let r = node.invoke(cap, &op, &args);
-            task_waiter.complete(r);
-        }) {
-            waiter.complete(Err(match e {
-                SubmitError::Overloaded => EdenError::Invoke(Status::Overloaded),
-                SubmitError::Closed => EdenError::ShuttingDown,
-            }));
+        InvocationHandle {
+            node: self.clone(),
+            cap,
+            op: op.to_string(),
+            args: args.to_vec(),
+            started: Mutex::new(Some(started)),
         }
-        handle
-    }
-
-    /// Nested invocation from inside an operation: yields the virtual
-    /// processor while blocked.
-    pub(crate) fn invoke_nested(
-        &self,
-        cap: Capability,
-        op: &str,
-        args: &[Value],
-    ) -> Result<Vec<Value>> {
-        let holds = HOLDS_VPROC.with(Cell::get);
-        if holds {
-            self.inner.gate.v();
-        }
-        let r = self.invoke(cap, op, args);
-        if holds {
-            self.inner.gate.p();
-        }
-        r
     }
 
     /// The invocation state machine: local slot → local checkpoint →
@@ -969,29 +1052,11 @@ impl Node {
         let root = self.inner.obs.sampled_root_span("invoke", op);
         let ctx = root.as_ref().map(|r| r.ctx());
 
-        // Fast path: active (or replica) on this node. The lookup is
-        // bound first so the table's read guard drops before the
-        // invocation blocks (an `if let` scrutinee guard would be held
-        // across the wait and deadlock crash/move teardown).
-        let local = self.inner.objects.read().get(&name).cloned();
-        if let Some(slot) = local {
-            self.inner.metrics.bump_local();
-            return self.invoke_on_slot(&slot, cap, op, args, deadline, ctx);
-        }
-        if self.inner.destroyed.lock().contains(&name) {
-            return (Status::Destroyed, Vec::new());
-        }
-        // Passive here: reincarnate locally — but only when we have not
-        // moved the object away. An object's checkpoints legitimately
-        // stay at its checksite after a move (§4.4), so a forwarding
-        // address must win over the local checkpoint or the source node
-        // would resurrect a stale twin.
-        let moved_away = self.inner.location.forwards.read().contains_key(&name);
-        if !moved_away {
-            if let Some(slot) = self.activate_passive_local(name) {
-                self.inner.metrics.bump_local();
-                return self.invoke_on_slot(&slot, cap, op, args, deadline, ctx);
-            }
+        // Fast path: the object is (or reactivates) on this node.
+        match self.start_local(cap, op, args, ctx) {
+            Some(Ok(call)) => return self.wait_local(&call, cap, op, args, deadline),
+            Some(Err(status)) => return (status, Vec::new()),
+            None => {}
         }
 
         // Remote: try hints in order, then broadcast.
@@ -1043,34 +1108,12 @@ impl Node {
             if from_cache {
                 self.inner.metrics.bump_cache_hit();
             }
-            let (status, results, from) = self.remote_invoke(candidate, cap, op, args, budget, ctx);
-            match status {
-                Status::NoSuchObject | Status::Timeout => {
-                    if from_cache {
-                        self.inner.location.cache.lock().remove(&name);
-                    }
-                    continue;
-                }
-                // Every other status is an *answer* from the object's
-                // real home — enumerated (not `_`) so a new wire status
-                // forces a decision about whether it ends the search.
-                Status::Ok
-                | Status::NoSuchOperation(_)
-                | Status::RightsViolation { .. }
-                | Status::ObjectCrashed
-                | Status::Frozen
-                | Status::TypeError(_)
-                | Status::NodeUnreachable
-                | Status::Destroyed
-                | Status::AppError { .. }
-                | Status::Overloaded => {
-                    // Cache the node that *answered*: after a forwarding
-                    // chain that is the object's real home.
-                    if self.inner.config.enable_location_cache {
-                        self.cache_insert(name, from);
-                    }
-                    return (status, results);
-                }
+            let (status, results) = self.remote_invoke(candidate, cap, op, args, budget, ctx);
+            if ends_search(&status) {
+                return (status, results);
+            }
+            if from_cache {
+                self.inner.location.cache.lock().remove(&name);
             }
         }
 
@@ -1087,28 +1130,12 @@ impl Node {
                     let Some(budget) = self.try_budget(deadline) else {
                         return (Status::Timeout, Vec::new());
                     };
-                    let (status, results, from) =
-                        self.remote_invoke(holder, cap, op, args, budget, ctx);
-                    match status {
-                        // A stale registration (the holder moved or
-                        // crashed since it registered): fall through to
-                        // the broadcast safety net.
-                        Status::NoSuchObject | Status::Timeout => {}
-                        Status::Ok
-                        | Status::NoSuchOperation(_)
-                        | Status::RightsViolation { .. }
-                        | Status::ObjectCrashed
-                        | Status::Frozen
-                        | Status::TypeError(_)
-                        | Status::NodeUnreachable
-                        | Status::Destroyed
-                        | Status::AppError { .. }
-                        | Status::Overloaded => {
-                            if self.inner.config.enable_location_cache {
-                                self.cache_insert(name, from);
-                            }
-                            return (status, results);
-                        }
+                    // A stale registration (the holder moved or crashed
+                    // since it registered) falls through to the
+                    // broadcast safety net.
+                    let (status, results) = self.remote_invoke(holder, cap, op, args, budget, ctx);
+                    if ends_search(&status) {
+                        return (status, results);
                     }
                 }
             }
@@ -1154,24 +1181,9 @@ impl Node {
             let Some(budget) = self.try_budget(deadline) else {
                 return (Status::Timeout, Vec::new());
             };
-            let (status, results, from) = self.remote_invoke(holder, cap, op, args, budget, ctx);
-            match status {
-                Status::NoSuchObject | Status::Timeout => continue,
-                Status::Ok
-                | Status::NoSuchOperation(_)
-                | Status::RightsViolation { .. }
-                | Status::ObjectCrashed
-                | Status::Frozen
-                | Status::TypeError(_)
-                | Status::NodeUnreachable
-                | Status::Destroyed
-                | Status::AppError { .. }
-                | Status::Overloaded => {
-                    if self.inner.config.enable_location_cache {
-                        self.cache_insert(name, from);
-                    }
-                    return (status, results);
-                }
+            let (status, results) = self.remote_invoke(holder, cap, op, args, budget, ctx);
+            if ends_search(&status) {
+                return (status, results);
             }
         }
         (Status::NoSuchObject, Vec::new())
@@ -1278,41 +1290,84 @@ impl Node {
         Some((deadline - now).min(self.inner.config.remote_try_timeout))
     }
 
-    /// Validates and enqueues an invocation on a local slot, then waits.
-    fn invoke_on_slot(
+    /// Starts an invocation on an object that is (or reactivates) on
+    /// this node: validates it and queues it at the object's
+    /// coordinator, without waiting. `None` when the object is
+    /// elsewhere.
+    fn start_local(
         &self,
-        slot: &Arc<ObjectSlot>,
+        cap: Capability,
+        op: &str,
+        args: &[Value],
+        trace: Option<TraceCtx>,
+    ) -> Option<std::result::Result<LocalCall, Status>> {
+        let name = cap.name();
+        // Bound first so the table's read guard drops before the
+        // invocation blocks (an `if let` scrutinee guard would be held
+        // across the wait and deadlock crash/move teardown).
+        let local = self.inner.objects.read().get(&name).cloned();
+        let slot = match local {
+            Some(slot) => slot,
+            None => {
+                if self.inner.destroyed.lock().contains(&name) {
+                    return Some(Err(Status::Destroyed));
+                }
+                // Passive here: reincarnate locally — but only when we
+                // have not moved the object away. An object's checkpoints
+                // legitimately stay at its checksite after a move (§4.4),
+                // so a forwarding address must win over the local
+                // checkpoint or the source node would resurrect a stale
+                // twin.
+                if self.inner.location.forwards.read().contains_key(&name) {
+                    return None;
+                }
+                self.activate_passive_local(name)?
+            }
+        };
+        self.inner.metrics.bump_local();
+        let start_ns = now_ns();
+        let waiter = Arc::new(Waiter::new());
+        let sink = ReplySink::Local(waiter.clone());
+        Some(
+            self.validate(&slot, cap, op, args, sink, trace)
+                .map(|pending| {
+                    self.enqueue(&slot, pending);
+                    LocalCall {
+                        waiter,
+                        start_ns,
+                        trace,
+                    }
+                }),
+        )
+    }
+
+    /// Waits for a locally queued invocation until `deadline`. If the
+    /// object moved away before the invocation ran, sends it on to the
+    /// new holder.
+    fn wait_local(
+        &self,
+        call: &LocalCall,
         cap: Capability,
         op: &str,
         args: &[Value],
         deadline: Instant,
-        ctx: Option<TraceCtx>,
     ) -> (Status, Vec<Value>) {
-        let start_ns = now_ns();
-        let waiter: Arc<Waiter<(Status, Vec<Value>)>> = Arc::new(Waiter::new());
-        let pending =
-            match self.validate(slot, cap, op, args, ReplySink::Local(waiter.clone()), ctx) {
-                Ok(p) => p,
-                Err(status) => return (status, Vec::new()),
-            };
-        self.enqueue(slot, pending);
-        let now = Instant::now();
-        let budget = if deadline > now {
-            deadline - now
-        } else {
-            Duration::ZERO
-        };
-        // A pool worker waiting here (async or nested invocation) yields
-        // its place: the reply it waits for may itself need a worker.
-        let outcome = match self.inner.vprocs.blocking(|| waiter.wait(budget)) {
-            Some((status, results)) => (status, results),
-            None => (Status::Timeout, Vec::new()),
-        };
+        let budget = deadline.saturating_duration_since(Instant::now());
+        // A pool worker waiting here (a nested invocation) gives up its
+        // processor: the reply it waits for may itself need one.
+        let outcome = self.inner.vprocs.blocking(|| call.waiter.wait(budget));
         self.inner
             .obs
             .histogram("invoke.local")
-            .record(now_ns().saturating_sub(start_ns));
-        outcome
+            .record(now_ns().saturating_sub(call.start_ns));
+        match outcome {
+            Some(LocalReply::Done(status, results)) => (status, results),
+            Some(LocalReply::Moved(dst)) => match self.try_budget(deadline) {
+                Some(budget) => self.remote_invoke(dst, cap, op, args, budget, call.trace),
+                None => (Status::Timeout, Vec::new()),
+            },
+            None => (Status::Timeout, Vec::new()),
+        }
     }
 
     /// Builds a validated [`PendingInvocation`], or the failure status.
@@ -1481,17 +1536,7 @@ impl Node {
                 } else {
                     // Pool saturated: undo the dispatch bookkeeping and
                     // shed this invocation with the backpressure status.
-                    coord.running -= 1;
-                    self.inner
-                        .obs
-                        .gauge(&format!("class.in_service.{class}"))
-                        .dec();
-                    if let Some(n) = coord.class_in_service.get_mut(&class) {
-                        *n -= 1;
-                        if *n == 0 {
-                            coord.class_in_service.remove(&class);
-                        }
-                    }
+                    self.release_process(&mut coord, &class);
                     shed = Some((sink, trace));
                     break; // The queue is full; later pumps retry the rest.
                 }
@@ -1516,9 +1561,6 @@ impl Node {
                 .obs
                 .child_span_staged("execute", stage::EXECUTE, t)
         });
-        // Take a virtual processor for the duration of execution.
-        self.inner.gate.p();
-        HOLDS_VPROC.with(|c| c.set(true));
         let exec_start = now_ns();
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let ctx = OpCtx::new(
@@ -1537,8 +1579,6 @@ impl Node {
             .obs
             .histogram("invoke.execute")
             .record(now_ns().saturating_sub(exec_start));
-        HOLDS_VPROC.with(|c| c.set(false));
-        self.inner.gate.v();
         let exec_ctx = exec_span.map(|s| {
             let c = s.ctx();
             s.finish();
@@ -1560,19 +1600,8 @@ impl Node {
 
         // Completion bookkeeping: release the class slot, then either
         // finish a requested crash/destroy or pump the next dispatch.
-        let class = pending.resolved.op.class;
         let mut coord = slot.coord.lock();
-        coord.running -= 1;
-        self.inner
-            .obs
-            .gauge(&format!("class.in_service.{class}"))
-            .dec();
-        if let Some(n) = coord.class_in_service.get_mut(&class) {
-            *n -= 1;
-            if *n == 0 {
-                coord.class_in_service.remove(&class);
-            }
-        }
+        self.release_process(&mut coord, &pending.resolved.op.class);
         if coord.running == 0 {
             slot.quiesce_cv.notify_all();
             if coord.crash_requested {
@@ -1591,6 +1620,22 @@ impl Node {
         self.pump(&slot, coord);
     }
 
+    /// Releases a process slot of `class` at the coordinator: the
+    /// process finished, or its dispatch was undone.
+    fn release_process(&self, coord: &mut CoordState, class: &str) {
+        coord.running -= 1;
+        self.inner
+            .obs
+            .gauge(&format!("class.in_service.{class}"))
+            .dec();
+        if let Some(n) = coord.class_in_service.get_mut(class) {
+            *n -= 1;
+            if *n == 0 {
+                coord.class_in_service.remove(class);
+            }
+        }
+    }
+
     fn send_reply(
         &self,
         sink: ReplySink,
@@ -1599,7 +1644,7 @@ impl Node {
         trace: Option<TraceCtx>,
     ) {
         match sink {
-            ReplySink::Local(waiter) => waiter.complete((status, results)),
+            ReplySink::Local(waiter) => waiter.complete(LocalReply::Done(status, results)),
             ReplySink::Remote { inv_id, reply_to } => {
                 self.inner.served.lock().record_done(
                     (reply_to, inv_id),
@@ -1620,14 +1665,11 @@ impl Node {
                 }
                 let _ = self.inner.endpoint.send(frame);
             }
-            ReplySink::Discard => {}
         }
     }
 
-    /// Sends one invocation to `dst` and waits for its reply. The third
-    /// element is the node that actually answered — after a forwarding
-    /// chain this is the object's true home, which the caller caches so
-    /// the chain is paid only once.
+    /// Sends one invocation to `dst` and waits up to `budget` for its
+    /// reply; an answer re-aims the hint cache at the node that sent it.
     fn remote_invoke(
         &self,
         dst: NodeId,
@@ -1636,109 +1678,34 @@ impl Node {
         args: &[Value],
         budget: Duration,
         parent: Option<TraceCtx>,
-    ) -> (Status, Vec<Value>, NodeId) {
-        self.inner.metrics.bump_remote_sent();
-        let start_ns = now_ns();
-        // The `client-send` span covers the whole request/reply exchange;
-        // its context rides the request frame so the serving kernel's
-        // spans join the same trace. No parent means the invocation was
-        // sampled out — no span opens and the frame carries no context.
-        let span = parent.map(|p| self.inner.obs.child_span("client-send", p));
-        let send_ctx = span.as_ref().map(|s| s.ctx());
-        let waiter = Arc::new(Waiter::new());
-        let inv_id = self.register_invocation(waiter.clone());
-        self.inner
-            .inflight
-            .lock()
-            .insert(inv_id, (start_ns, send_ctx.map_or(0, |c| c.trace_id)));
-        let request = || {
-            let mut frame = Frame::to(
-                self.inner.id,
-                dst,
-                Message::InvokeRequest {
-                    inv_id,
-                    target: cap,
-                    operation: op.to_string(),
-                    args: args.to_vec(),
-                    reply_to: self.inner.id,
-                    hops: self.inner.config.hop_limit,
-                    acked_below: self.acked_below(),
-                },
-            );
-            if let Some(t) = send_ctx {
-                frame = frame.with_trace(t);
+    ) -> (Status, Vec<Value>) {
+        match self.pipeline_send(dst, cap, op, args, parent) {
+            Ok(ticket) => {
+                let (status, results, _) = self.pipeline_wait(&ticket, cap, op, args, budget);
+                (status, results)
             }
-            frame
-        };
-        let sent = self.inner.endpoint.send(request());
-        if sent.is_err() {
-            self.inner.pending.lock().remove(&inv_id);
-            self.inner.inflight.lock().remove(&inv_id);
-            return (Status::NodeUnreachable, Vec::new(), dst);
-        }
-        // Wait in retransmission-sized slices: an unanswered request is
-        // re-sent with the same id, and the server dedupes (at-most-once
-        // execution; a lost reply is replayed from its reply cache). The
-        // wait is a blocking scope: a pool worker parked here (async
-        // invoke, redelivery) must not starve runnable local tasks.
-        let result = self.inner.vprocs.blocking(|| {
-            if !self.inner.config.enable_retransmission {
-                waiter.wait(budget)
-            } else {
-                let deadline = Instant::now() + budget;
-                loop {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break None;
-                    }
-                    let slice = self.inner.config.retransmit_interval.min(deadline - now);
-                    if let Some(reply) = waiter.wait(slice) {
-                        break Some(reply);
-                    }
-                    if Instant::now() >= deadline {
-                        break None;
-                    }
-                    self.inner
-                        .obs
-                        .recorder()
-                        .record(KernelEvent::Retransmit { inv_id, dst: dst.0 });
-                    // Non-blocking even over TCP: the transport's send
-                    // pipeline enqueues to a per-peer writer, so a dead
-                    // or slow destination cannot stall this retransmit
-                    // slice (the frame sheds at the bounded queue).
-                    let _ = self.inner.endpoint.send(request());
-                }
-            }
-        });
-        self.inner.pending.lock().remove(&inv_id);
-        self.inner.inflight.lock().remove(&inv_id);
-        if let Some(s) = span {
-            s.finish();
-        }
-        self.inner
-            .obs
-            .histogram("invoke.remote")
-            .record(now_ns().saturating_sub(start_ns));
-        match result {
-            Some(ReplyMsg::Invoke(status, results, from)) => (status, results, from),
-            _ => {
-                self.inner
-                    .obs
-                    .recorder()
-                    .record(KernelEvent::RemoteTimeout { dst: dst.0 });
-                (Status::Timeout, Vec::new(), dst)
-            }
+            Err(status) => (status, Vec::new()),
         }
     }
 
-    // ================= Pipelined invocation support =================
+    // ================= Remote invocation =================
     //
-    // The public face is `PipelinedClient` (see `crate::pipeline`); the
-    // methods here are the halves of `remote_invoke` split apart so many
-    // requests can be in flight on one connection at once: a
+    // Every remote request/reply exchange is these two halves: a
     // non-blocking send that registers the reply waiter, and a wait that
     // can be called later — in any order across calls, because replies
-    // rendezvous by `inv_id`.
+    // rendezvous by `inv_id`. `remote_invoke` runs them back to back;
+    // `PipelinedClient` (see `crate::pipeline`) and `invoke_async` keep
+    // many requests in flight at once.
+
+    /// Opens and at once closes a sampled root span for `op`. For an
+    /// invocation started now and waited for later, the root marks the
+    /// start and its children carry the durations.
+    pub(crate) fn detached_root(&self, op: &str) -> Option<TraceCtx> {
+        self.inner
+            .obs
+            .sampled_root_span("invoke", op)
+            .map(|s| s.ctx())
+    }
 
     /// Sends one invocation request to `dst` without waiting for the
     /// reply. The returned ticket holds the registered waiter; complete
@@ -1751,19 +1718,15 @@ impl Node {
         cap: Capability,
         op: &str,
         args: &[Value],
+        parent: Option<TraceCtx>,
     ) -> std::result::Result<PipelineTicket, Status> {
         self.inner.metrics.bump_remote_sent();
         let start_ns = now_ns();
-        // Tracing: the frame carries the *root* context (the span guard
-        // cannot outlive this call), and `pipeline_wait` records the
-        // `client-send` exchange span under it retroactively. The root
-        // span itself closes here, so in a rendered trace it marks the
-        // issue point while its children carry the durations.
-        let trace = self
-            .inner
-            .obs
-            .sampled_root_span("invoke", op)
-            .map(|s| s.ctx());
+        // The `client-send` span covering the exchange: its context
+        // rides the request frame so the serving kernel's spans nest
+        // under it, and `pipeline_wait` records it once the exchange
+        // ends. No parent means the invocation was sampled out.
+        let trace = parent.map(|p| self.inner.obs.child_ctx(p));
         let waiter = Arc::new(Waiter::new());
         let inv_id = self.register_invocation(waiter.clone());
         self.inner
@@ -1835,11 +1798,12 @@ impl Node {
             } else {
                 let deadline = Instant::now() + budget;
                 loop {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break None;
-                    }
-                    let slice = self.inner.config.retransmit_interval.min(deadline - now);
+                    // A reply already in is taken even on a zero budget.
+                    let slice = self
+                        .inner
+                        .config
+                        .retransmit_interval
+                        .min(deadline.saturating_duration_since(Instant::now()));
                     if let Some(reply) = ticket.waiter.wait(slice) {
                         break Some(reply);
                     }
@@ -1862,7 +1826,7 @@ impl Node {
         if let Some(t) = ticket.trace {
             self.inner
                 .obs
-                .record_span("client-send", t, ticket.start_ns, end_ns);
+                .record_span_as("client-send", stage::NONE, t, ticket.start_ns, end_ns);
         }
         self.inner
             .obs
@@ -1870,9 +1834,9 @@ impl Node {
             .record(end_ns.saturating_sub(ticket.start_ns));
         match result {
             Some(ReplyMsg::Invoke(status, results, from)) => {
-                if self.inner.config.enable_location_cache
-                    && !matches!(status, Status::NoSuchObject | Status::Timeout)
-                {
+                // Cache the node that *answered*: after a forwarding
+                // chain that is the object's real home.
+                if self.inner.config.enable_location_cache && ends_search(&status) {
                     self.cache_insert(cap.name(), from);
                 }
                 (status, results, from)
@@ -2025,25 +1989,14 @@ impl Node {
             self.dir_register(name, self.inner.id, DirRegisterKind::Checkpoint);
             return Ok(version);
         }
-        let req_id = self.fresh_id();
-        let waiter = Arc::new(Waiter::new());
-        self.inner.pending.lock().insert(req_id, waiter.clone());
-        let _ = self.inner.endpoint.send(Frame::to(
-            self.inner.id,
-            site,
-            Message::CheckpointPut {
-                req_id,
-                name,
-                image: image.clone(),
-                reply_to: self.inner.id,
-            },
-        ));
-        let result = self
-            .inner
-            .vprocs
-            .blocking(|| waiter.wait(self.inner.config.remote_try_timeout));
-        self.inner.pending.lock().remove(&req_id);
-        match result {
+        let timeout = self.inner.config.remote_try_timeout;
+        let reply = self.request(site, timeout, |req_id| Message::CheckpointPut {
+            req_id,
+            name,
+            image: image.clone(),
+            reply_to: self.inner.id,
+        });
+        match reply {
             Some(ReplyMsg::CkptAck(true, version)) => Ok(version),
             Some(ReplyMsg::CkptAck(false, _)) => Err(EdenError::Store(eden_store::StoreError::Io(
                 format!("checksite {site} refused the checkpoint"),
@@ -2067,25 +2020,14 @@ impl Node {
                 .read_local_checkpoint(name, version)?
                 .and_then(|bytes| ObjectImage::decode_from_bytes(&bytes).ok()));
         }
-        let req_id = self.fresh_id();
-        let waiter = Arc::new(Waiter::new());
-        self.inner.pending.lock().insert(req_id, waiter.clone());
-        let _ = self.inner.endpoint.send(Frame::to(
-            self.inner.id,
-            site,
-            Message::CheckpointFetch {
-                req_id,
-                name,
-                reply_to: self.inner.id,
-                version,
-            },
-        ));
-        let result = self
-            .inner
-            .vprocs
-            .blocking(|| waiter.wait(self.inner.config.remote_try_timeout));
-        self.inner.pending.lock().remove(&req_id);
-        match result {
+        let timeout = self.inner.config.remote_try_timeout;
+        let reply = self.request(site, timeout, |req_id| Message::CheckpointFetch {
+            req_id,
+            name,
+            reply_to: self.inner.id,
+            version,
+        });
+        match reply {
             Some(ReplyMsg::CkptData(image)) => Ok(image),
             _ => Err(EdenError::Invoke(Status::NodeUnreachable)),
         }
@@ -2288,8 +2230,8 @@ impl Node {
         Some(slot)
     }
 
-    /// Runs the reincarnation condition handler, then opens the gate for
-    /// queued invocations (§4.2).
+    /// Runs the reincarnation condition handler, then lets the queued
+    /// invocations dispatch (§4.2).
     fn run_reincarnation(&self, slot: Arc<ObjectSlot>) {
         let manager = match self.inner.registry.manager(&slot.type_name) {
             Some(m) => m,
@@ -2388,24 +2330,14 @@ impl Node {
             let repr = slot.repr.read();
             repr.to_image(&slot.type_name, slot.is_frozen(), slot.checkpoint_version())
         };
-        let xfer_id = self.fresh_id();
-        let waiter = Arc::new(Waiter::new());
-        self.inner.pending.lock().insert(xfer_id, waiter.clone());
-        let _ = self.inner.endpoint.send(Frame::to(
-            self.inner.id,
-            dst,
+        let ack = self.request(dst, self.inner.config.move_timeout, |xfer_id| {
             Message::MoveTransfer {
                 xfer_id,
                 name: slot.name,
                 image,
                 reply_to: self.inner.id,
-            },
-        ));
-        let ack = self
-            .inner
-            .vprocs
-            .blocking(|| waiter.wait(self.inner.config.move_timeout));
-        self.inner.pending.lock().remove(&xfer_id);
+            }
+        });
         match ack {
             Some(ReplyMsg::MoveAck(true, _reason)) => {
                 self.inner.metrics.bump_move_out();
@@ -2447,29 +2379,7 @@ impl Node {
                             }
                             let _ = self.inner.endpoint.send(frame);
                         }
-                        ReplySink::Local(waiter) => {
-                            let node = self.clone();
-                            let task_waiter = waiter.clone();
-                            if self
-                                .inner
-                                .vprocs
-                                .submit(move || {
-                                    let (status, results, _from) = node.remote_invoke(
-                                        dst,
-                                        pending.presented,
-                                        &pending.operation,
-                                        &pending.args,
-                                        node.inner.config.remote_try_timeout,
-                                        pending.trace,
-                                    );
-                                    task_waiter.complete((status, results));
-                                })
-                                .is_err()
-                            {
-                                waiter.complete((Status::Overloaded, Vec::new()));
-                            }
-                        }
-                        ReplySink::Discard => {}
+                        ReplySink::Local(waiter) => waiter.complete(LocalReply::Moved(dst)),
                     }
                 }
             }
@@ -2624,21 +2534,13 @@ impl Node {
             }
         };
         for h in candidates {
-            let req_id = self.fresh_id();
-            let waiter = Arc::new(Waiter::new());
-            self.inner.pending.lock().insert(req_id, waiter.clone());
-            let _ = self.inner.endpoint.send(Frame::to(
-                self.inner.id,
-                h,
-                Message::ReplicaRequest {
-                    req_id,
-                    name,
-                    reply_to: self.inner.id,
-                },
-            ));
-            let result = waiter.wait(self.inner.config.remote_try_timeout);
-            self.inner.pending.lock().remove(&req_id);
-            if let Some(ReplyMsg::Replica(Some(image))) = result {
+            let timeout = self.inner.config.remote_try_timeout;
+            let reply = self.request(h, timeout, |req_id| Message::ReplicaRequest {
+                req_id,
+                name,
+                reply_to: self.inner.id,
+            });
+            if let Some(ReplyMsg::Replica(Some(image))) = reply {
                 if !image.frozen {
                     return Err(EdenError::BadRequest("object is not frozen".into()));
                 }
@@ -2743,16 +2645,8 @@ impl Node {
 
     /// Pings `node`; `true` if it answered within `timeout`.
     pub fn ping(&self, node: NodeId, timeout: Duration) -> bool {
-        let token = self.fresh_id();
-        let waiter = Arc::new(Waiter::new());
-        self.inner.pending.lock().insert(token, waiter.clone());
-        let _ = self
-            .inner
-            .endpoint
-            .send(Frame::to(self.inner.id, node, Message::Ping { token }));
-        let result = waiter.wait(timeout);
-        self.inner.pending.lock().remove(&token);
-        matches!(result, Some(ReplyMsg::Pong))
+        let reply = self.request(node, timeout, |token| Message::Ping { token });
+        matches!(reply, Some(ReplyMsg::Pong))
     }
 
     /// Stops the receive loop, tears down behaviors, drains the
@@ -3024,17 +2918,7 @@ impl Node {
             }
             {
                 let mut coord = slot.coord.lock();
-                coord.running -= 1;
-                self.inner
-                    .obs
-                    .gauge(&format!("class.in_service.{class}"))
-                    .dec();
-                if let Some(n) = coord.class_in_service.get_mut(&class) {
-                    *n -= 1;
-                    if *n == 0 {
-                        coord.class_in_service.remove(&class);
-                    }
-                }
+                self.release_process(&mut coord, &class);
                 if coord.running == 0 {
                     slot.quiesce_cv.notify_all();
                 }

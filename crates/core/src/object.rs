@@ -71,11 +71,20 @@ pub struct Checksite {
     pub level: ReliabilityLevel,
 }
 
+/// What a local invoker's waiter receives.
+pub(crate) enum LocalReply {
+    /// The invocation ran: its status and results.
+    Done(Status, Vec<Value>),
+    /// The object moved away before the invocation ran; the invoker
+    /// sends it on to the node named here.
+    Moved(NodeId),
+}
+
 /// Where a completed invocation's status and results go.
 #[derive(Clone)]
 pub(crate) enum ReplySink {
-    /// A thread on this node is parked on the waiter.
-    Local(Arc<Waiter<(Status, Vec<Value>)>>),
+    /// An invoker on this node waits on the waiter.
+    Local(Arc<Waiter<LocalReply>>),
     /// A remote kernel awaits an `InvokeReply` frame.
     Remote {
         /// The requester's invocation id.
@@ -83,10 +92,6 @@ pub(crate) enum ReplySink {
         /// The requester's node.
         reply_to: NodeId,
     },
-    /// Nobody is waiting (fire-and-forget internal redelivery; reserved
-    /// for kernel-initiated maintenance invocations).
-    #[allow(dead_code)]
-    Discard,
 }
 
 /// An invocation accepted by the coordinator but not yet completed.

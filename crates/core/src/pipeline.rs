@@ -27,7 +27,7 @@ use eden_capability::{Capability, NodeId};
 use eden_wire::{Status, Value};
 use parking_lot::Mutex;
 
-use crate::node::{Node, PipelineTicket};
+use crate::node::{ends_search, Node, PipelineTicket};
 
 impl Node {
     /// Creates a pipelined client for `cap`, aimed at this node's best
@@ -80,7 +80,10 @@ impl PipelinedClient {
     /// relative to other outstanding calls. Fails only when the
     /// transport refuses the frame outright.
     pub fn call(&self, op: &str, args: &[Value]) -> Result<PendingCall<'_>, Status> {
-        let ticket = self.node.pipeline_send(self.dst(), self.cap, op, args)?;
+        let root = self.node.detached_root(op);
+        let ticket = self
+            .node
+            .pipeline_send(self.dst(), self.cap, op, args, root)?;
         Ok(PendingCall {
             client: self,
             ticket: Some(ticket),
@@ -128,7 +131,7 @@ impl PendingCall<'_> {
             self.client
                 .node
                 .pipeline_wait(&ticket, self.client.cap, &self.op, &self.args, budget);
-        if !matches!(status, Status::NoSuchObject | Status::Timeout) {
+        if ends_search(&status) {
             *self.client.dst.lock() = from;
         }
         (status, results)

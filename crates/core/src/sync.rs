@@ -58,10 +58,10 @@ impl EdenSemaphore {
         let mut count = self.count.lock();
         while *count == 0 {
             // eden-lint: allow(blocking-discipline): P parks by design —
-            // the vproc gate sizes permits to the pool and V()s around
-            // nested invokes (HOLDS_VPROC), so wrapping this wait in
-            // blocking() would inject spares that immediately park on the
-            // same gate; user-level semaphore waits are §4.2 semantics.
+            // a §4.2 semaphore wait keeps its virtual processor, as the
+            // paper's process keeps its GDP; wrapping it in blocking()
+            // would start a new worker for every waiter, so an object's
+            // P-waiters alone could grow the pool without bound.
             self.cv.wait(&mut count);
         }
         *count -= 1;

@@ -1,35 +1,33 @@
-//! The virtual-processor pool: a bounded worker set for kernel tasks.
+//! The virtual-processor pool: the node's processor complement.
 //!
 //! §3: the Eden node machine multiplexes a *fixed* complement of
 //! processors (two GDPs, "field upgradable" to four) over however many
-//! invocation processes exist. The kernel used to spawn one OS thread
-//! per invocation process, async invoke, move, reincarnation and
-//! redelivery, so a fan-out burst created unbounded threads and the
-//! [`EdenSemaphore`](crate::sync::EdenSemaphore) gate throttled only
-//! *execution*, never *thread creation*. [`VirtualProcessorPool`] is the
-//! fixed supply of workers those tasks now share; excess work queues,
-//! and past [`NodeConfig::vproc_queue_cap`](crate::NodeConfig) the
-//! kernel sheds load with `Status::Overloaded` instead of falling over.
+//! invocation processes exist. [`VirtualProcessorPool`] is that
+//! complement: every invocation process, move and reincarnation runs
+//! as a task on a pool worker, and at most
+//! [`NodeConfig::virtual_processors`](crate::NodeConfig) workers are
+//! *running* — neither parked for work nor inside a
+//! [`blocking`](VirtualProcessorPool::blocking) scope. Excess work
+//! queues, and past [`NodeConfig::vproc_queue_cap`](crate::NodeConfig)
+//! the kernel sheds load with `Status::Overloaded` instead of falling
+//! over.
 //!
-//! ## Blocked-worker replacement
+//! ## Blocking
 //!
-//! Kernel tasks legitimately block: an async-invoke task waits for its
-//! invocation's reply, a nested invocation waits for the inner result, a
-//! move task waits for the transfer ack. With a strictly fixed worker
-//! count those waits could consume every worker while the tasks able to
-//! *unblock* them sit in the queue — a thread-starvation deadlock. The
-//! kernel therefore wraps each such wait in [`VirtualProcessorPool::
-//! blocking`], which parks the worker *outside* the pool's accounting
-//! and, when runnable work would otherwise stall, injects a temporary
-//! *spare* worker. Spares drain the queue and exit as soon as it is
-//! empty, so the pool returns to its configured size once the burst
-//! passes. The invariant maintained is that the number of unblocked
-//! workers stays at the configured target whenever work is queued —
-//! blocked workers cost memory, not processors, exactly like the
-//! paper's invocation processes multiplexed over a fixed set of GDPs.
+//! Kernel tasks legitimately block: a nested invocation waits for the
+//! inner result, a remote one for its reply, a move for the transfer
+//! ack. [`VirtualProcessorPool::blocking`] gives the worker's processor
+//! up for such a wait — the paper's process yielding its GDP: to a
+//! worker resuming from its own wait first, else to a parked worker,
+//! and only then to a new thread, so a wait never starves the task that
+//! would end it. When the wait ends, the worker takes a processor back
+//! before it resumes. A worker beyond the configured count parks
+//! [`LINGER`] without work, then exits: the thread set shrinks back
+//! after a burst, and back-to-back waits reuse threads instead of
+//! starting new ones.
 
 use std::cell::Cell;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,11 +37,16 @@ use eden_obs::{now_ns, stage, Counter, Gauge, Histogram, ObsRegistry, TraceCtx};
 
 use crate::sync::shim::{self, Condvar, Mutex};
 
+/// How long a worker above the configured count stays parked without
+/// work before it exits.
+pub const LINGER: Duration = Duration::from_millis(500);
+
 thread_local! {
     /// Identity (by [`Shared`] address) of the pool whose worker loop
-    /// owns this thread, so [`VirtualProcessorPool::blocking`] performs
-    /// replacement accounting only on the pool's own workers — a client
-    /// thread waiting inside `Node::invoke` needs no spare.
+    /// owns this thread, so [`VirtualProcessorPool::blocking`] accounts
+    /// only for the pool's own workers — a client thread waiting inside
+    /// `Node::invoke` holds no processor. Cleared for the duration of a
+    /// blocking scope, so a nested scope runs unadorned.
     static WORKER_OF: Cell<usize> = const { Cell::new(0) };
 }
 
@@ -58,26 +61,53 @@ struct Task {
     trace: Option<TraceCtx>,
 }
 
+/// The lowest worker id not in `held`, so ids stay small and unique
+/// among live workers however many threads come and go. `u16::MAX` is
+/// reserved for the stall probe's queue-age pseudo-worker.
+fn lowest_free_id(held: &BTreeSet<u16>) -> Option<u16> {
+    let mut id = 0u16;
+    for &h in held {
+        if h != id {
+            break;
+        }
+        id += 1;
+    }
+    (id < u16::MAX).then_some(id)
+}
+
 struct State {
     queue: VecDeque<Task>,
-    /// Worker threads currently alive (base workers + spares).
+    /// Worker threads currently alive, including ones still starting.
     live: usize,
-    /// Workers parked on the condvar waiting for work.
+    /// Workers parked (or starting) without a task.
     idle: usize,
+    /// Workers holding a processor: executing a task outside any
+    /// blocking scope. Never above the configured count.
+    running: usize,
     /// Workers inside a [`VirtualProcessorPool::blocking`] scope.
     blocked: usize,
+    /// Workers whose blocking scope ended, waiting for a processor.
+    /// They have first claim on the next one freed.
+    resuming: usize,
+    /// Ids of live workers; an exiting worker's id is reused.
+    ids: BTreeSet<u16>,
+    /// Join handles of every worker not yet seen finished.
+    threads: Vec<shim::thread::JoinHandle<()>>,
     /// Per-worker busy-since timestamps (worker id → ns), maintained
     /// around task execution so the stall watchdog can spot a worker
     /// wedged in one task past the deadline.
-    busy_since: std::collections::BTreeMap<u16, u64>,
+    busy_since: BTreeMap<u16, u64>,
     stop: bool,
 }
 
 struct Shared {
     state: Mutex<State>,
+    /// Parked workers wait here for work.
     cv: Condvar,
+    /// Workers leaving a blocking scope wait here for a processor.
+    resume_cv: Condvar,
     node: NodeId,
-    /// Target number of unblocked workers (the configured pool size).
+    /// The processor complement: the bound on running workers.
     workers: usize,
     queue_cap: usize,
     /// Registry the queue-residency spans of traced tasks are recorded
@@ -119,9 +149,9 @@ pub struct VprocProbe {
 /// [`Node::vproc_stats`](crate::Node::vproc_stats)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VprocStats {
-    /// Configured worker count (the fixed processor complement).
+    /// Configured processor count: the bound on running workers.
     pub workers: usize,
-    /// Worker threads currently alive (base workers + live spares).
+    /// Worker threads currently alive.
     pub live: usize,
     /// Workers parked waiting for work.
     pub idle: usize,
@@ -135,62 +165,63 @@ pub struct VprocStats {
     pub executed: u64,
     /// Tasks refused because the queue was full.
     pub rejected: u64,
-    /// Spare workers injected to replace blocked ones.
+    /// Worker threads started beyond the initial set.
     pub spares_spawned: u64,
     /// Tasks that panicked (the worker survives).
     pub panicked: u64,
 }
 
-/// A fixed set of named worker threads executing the kernel's deferred
-/// tasks; see the module docs for the scheduling model.
+/// The node's virtual processors: named worker threads executing the
+/// kernel's deferred tasks; see the module docs for the scheduling
+/// model.
 pub struct VirtualProcessorPool {
     shared: Arc<Shared>,
-    base: Mutex<Vec<shim::thread::JoinHandle<()>>>,
 }
 
 impl VirtualProcessorPool {
-    /// Starts `workers` base workers for `node`, with a task queue
-    /// bounded at `queue_cap`. Pressure metrics are registered in `obs`
-    /// (`vproc.busy`, `vproc.queue_depth`, `vproc.task_wait`, …), so
-    /// the Monitor object and the Prometheus export see them.
+    /// Starts `workers` workers for `node` — the processor complement —
+    /// with a task queue bounded at `queue_cap`. Pressure metrics are
+    /// registered in `obs` (`vproc.busy`, `vproc.queue_depth`,
+    /// `vproc.task_wait`, …), so the Monitor object and the Prometheus
+    /// export see them.
     pub fn new(node: NodeId, workers: usize, queue_cap: usize, obs: &Arc<ObsRegistry>) -> Self {
         let workers = workers.max(1);
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                live: workers,
-                idle: 0,
-                blocked: 0,
-                busy_since: std::collections::BTreeMap::new(),
-                stop: false,
-            }),
-            cv: Condvar::new(),
-            node,
-            workers,
-            queue_cap: queue_cap.max(1),
-            obs: Arc::clone(obs),
-            busy: obs.gauge("vproc.busy"),
-            queue_depth: obs.gauge("vproc.queue_depth"),
-            task_wait: obs.histogram("vproc.task_wait"),
-            executed: obs.counter("vproc.executed"),
-            rejected: obs.counter("vproc.rejected"),
-            spares: obs.counter("vproc.spares_spawned"),
-            panicked: obs.counter("vproc.panicked"),
-        });
         let pool = VirtualProcessorPool {
-            shared,
-            base: Mutex::new(Vec::with_capacity(workers)),
+            shared: Arc::new(Shared {
+                state: Mutex::new(State {
+                    queue: VecDeque::new(),
+                    live: 0,
+                    idle: 0,
+                    running: 0,
+                    blocked: 0,
+                    resuming: 0,
+                    ids: BTreeSet::new(),
+                    threads: Vec::with_capacity(workers),
+                    busy_since: BTreeMap::new(),
+                    stop: false,
+                }),
+                cv: Condvar::new(),
+                resume_cv: Condvar::new(),
+                node,
+                workers,
+                queue_cap: queue_cap.max(1),
+                obs: Arc::clone(obs),
+                busy: obs.gauge("vproc.busy"),
+                queue_depth: obs.gauge("vproc.queue_depth"),
+                task_wait: obs.histogram("vproc.task_wait"),
+                executed: obs.counter("vproc.executed"),
+                rejected: obs.counter("vproc.rejected"),
+                spares: obs.counter("vproc.spares_spawned"),
+                panicked: obs.counter("vproc.panicked"),
+            }),
         };
-        let mut base = pool.base.lock();
-        for i in 0..workers {
-            let shared = pool.shared.clone();
-            let handle = shim::thread::Builder::new()
-                .name(format!("eden-vproc-{node}-{i}"))
-                .spawn(move || worker_loop(shared, false, i as u16))
-                .expect("spawn virtual-processor worker");
-            base.push(handle);
+        let wids: Vec<_> = {
+            let mut st = pool.shared.state.lock();
+            (0..workers).map(|_| reserve_worker(&mut st)).collect()
+        };
+        for wid in wids {
+            pool.spawn_worker(wid);
         }
-        drop(base);
         pool
     }
 
@@ -214,34 +245,30 @@ impl VirtualProcessorPool {
         job: impl FnOnce() + Send + 'static,
         trace: Option<TraceCtx>,
     ) -> Result<(), SubmitError> {
-        let spawn_spare = {
-            let mut st = self.shared.state.lock();
-            if st.stop {
-                return Err(SubmitError::Closed);
-            }
-            if st.queue.len() >= self.shared.queue_cap {
-                self.shared.rejected.inc();
-                return Err(SubmitError::Overloaded);
-            }
-            st.queue.push_back(Task {
-                job: Box::new(job),
-                enqueued_ns: now_ns(),
-                trace,
-            });
-            self.shared.queue_depth.inc();
-            self.reserve_spare(&mut st)
-        };
-        self.shared.cv.notify_one();
-        if spawn_spare {
-            self.spawn_spare();
+        let mut st = self.shared.state.lock();
+        if st.stop {
+            return Err(SubmitError::Closed);
         }
+        if st.queue.len() >= self.shared.queue_cap {
+            self.shared.rejected.inc();
+            return Err(SubmitError::Overloaded);
+        }
+        st.queue.push_back(Task {
+            job: Box::new(job),
+            enqueued_ns: now_ns(),
+            trace,
+        });
+        self.shared.queue_depth.inc();
+        let spare = self.wake(&mut st);
+        drop(st);
+        self.spawn_worker(spare);
         Ok(())
     }
 
     /// [`submit_traced`](Self::submit_traced) for a whole batch: all
-    /// `tasks` are enqueued under **one** lock acquisition and one
-    /// wakeup, so a receive-loop frame batch pays the pool's
-    /// synchronization cost once instead of once per invocation.
+    /// `tasks` are enqueued under **one** lock acquisition, so a
+    /// receive-loop frame batch pays the pool's synchronization cost
+    /// once instead of once per invocation.
     ///
     /// Admission is per task: the i-th result mirrors what
     /// `submit_traced` would have returned for the i-th task (tasks past
@@ -256,100 +283,129 @@ impl VirtualProcessorPool {
         }
         let mut results = Vec::with_capacity(tasks.len());
         let mut accepted = 0usize;
-        let spawn_spare = {
-            let mut st = self.shared.state.lock();
-            for (job, trace) in tasks {
-                if st.stop {
-                    results.push(Err(SubmitError::Closed));
-                    continue;
-                }
-                if st.queue.len() >= self.shared.queue_cap {
-                    self.shared.rejected.inc();
-                    results.push(Err(SubmitError::Overloaded));
-                    continue;
-                }
-                st.queue.push_back(Task {
-                    job,
-                    enqueued_ns: now_ns(),
-                    trace,
-                });
-                accepted += 1;
-                results.push(Ok(()));
+        let mut st = self.shared.state.lock();
+        for (job, trace) in tasks {
+            if st.stop {
+                results.push(Err(SubmitError::Closed));
+                continue;
             }
-            if accepted > 0 {
-                self.shared.queue_depth.add(accepted as i64);
+            if st.queue.len() >= self.shared.queue_cap {
+                self.shared.rejected.inc();
+                results.push(Err(SubmitError::Overloaded));
+                continue;
             }
-            self.reserve_spare(&mut st)
-        };
-        match accepted {
-            0 => {}
-            1 => self.shared.cv.notify_one(),
-            _ => self.shared.cv.notify_all(),
+            st.queue.push_back(Task {
+                job,
+                enqueued_ns: now_ns(),
+                trace,
+            });
+            accepted += 1;
+            results.push(Ok(()));
         }
-        if spawn_spare {
-            self.spawn_spare();
+        if accepted > 0 {
+            self.shared.queue_depth.add(accepted as i64);
         }
+        if accepted > 1 {
+            self.shared.cv.notify_all();
+        }
+        let spare = self.wake(&mut st);
+        drop(st);
+        self.spawn_worker(spare);
         results
     }
 
-    /// Runs `f` — a wait whose completion may itself need pool capacity
+    /// Runs `f` — a wait whose completion may itself need a processor
     /// (a nested or remote invocation's reply, a move ack) — with this
-    /// worker marked *blocked*. If runnable work would otherwise stall,
-    /// a spare worker is injected for the duration; see the module docs.
-    /// On a thread that is not one of this pool's workers, `f` runs
-    /// unadorned.
+    /// worker's processor given up: the processor goes to a resuming
+    /// worker, a parked worker or, for queued work with neither, a new
+    /// one. When `f` returns, the worker waits for a free processor
+    /// before it resumes. On a thread that is not one of this pool's
+    /// workers, or inside another blocking scope, `f` runs unadorned.
     pub fn blocking<R>(&self, f: impl FnOnce() -> R) -> R {
-        if WORKER_OF.with(Cell::get) != Arc::as_ptr(&self.shared) as usize {
+        let me = Arc::as_ptr(&self.shared) as usize;
+        if WORKER_OF.with(Cell::get) != me {
             return f();
         }
-        let spawn_spare = {
-            let mut st = self.shared.state.lock();
-            st.blocked += 1;
-            self.reserve_spare(&mut st)
-        };
-        if spawn_spare {
-            self.spawn_spare();
-        }
-        struct Unblock<'a>(&'a Shared);
-        impl Drop for Unblock<'_> {
+        let mut st = self.shared.state.lock();
+        st.running -= 1;
+        st.blocked += 1;
+        let spare = self.wake(&mut st);
+        drop(st);
+        self.spawn_worker(spare);
+        // The scope ends on unwind too: the worker loop's accounting
+        // after the task assumes its processor was taken back.
+        struct Resume<'a>(&'a VirtualProcessorPool, usize);
+        impl Drop for Resume<'_> {
             fn drop(&mut self) {
-                self.0.state.lock().blocked -= 1;
+                WORKER_OF.with(|c| c.set(self.1));
+                self.0.resume();
             }
         }
-        let guard = Unblock(&self.shared);
-        let r = f();
-        drop(guard);
-        r
+        WORKER_OF.with(|c| c.set(0));
+        let _resume = Resume(self, me);
+        f()
     }
 
-    /// Whether a spare is needed right now: queued work exists, no idle
-    /// worker will pick it up, and blocking waits have eaten into the
-    /// configured processor complement. Reserves the spare's `live` slot
-    /// under the lock so concurrent callers do not over-inject.
-    fn reserve_spare(&self, st: &mut State) -> bool {
-        let need = !st.stop
-            && !st.queue.is_empty()
-            && st.idle == 0
-            && st.live.saturating_sub(st.blocked) < self.shared.workers;
-        if need {
-            st.live += 1;
+    /// Ends a blocking scope: takes a processor back, waiting for one if
+    /// all are in use.
+    fn resume(&self) {
+        let mut st = self.shared.state.lock();
+        st.blocked -= 1;
+        if st.running >= self.shared.workers {
+            st.resuming += 1;
+            while st.running >= self.shared.workers {
+                self.shared.resume_cv.wait(&mut st);
+            }
+            st.resuming -= 1;
         }
-        need
+        st.running += 1;
+        // Another processor may be free that this worker's first
+        // claim held back from queued work.
+        let spare = self.wake(&mut st);
+        drop(st);
+        self.spawn_worker(spare);
     }
 
-    fn spawn_spare(&self) {
-        self.shared.spares.inc();
-        let n = self.shared.spares.get();
+    /// Hands a free processor to whoever has first claim on it: a
+    /// resuming worker, else — for queued work — a parked worker. When
+    /// queued work has neither, reserves a new worker, which the caller
+    /// starts with [`spawn_worker`](Self::spawn_worker) once it has
+    /// released the lock.
+    fn wake(&self, st: &mut State) -> Option<u16> {
+        if st.running >= self.shared.workers {
+            return None;
+        }
+        if st.resuming > 0 {
+            self.shared.resume_cv.notify_one();
+        } else if !st.queue.is_empty() {
+            if st.idle > 0 {
+                self.shared.cv.notify_one();
+            } else if !st.stop {
+                return reserve_worker(st).inspect(|_| self.shared.spares.inc());
+            }
+        }
+        None
+    }
+
+    /// Starts the worker reserved as `wid`, if any.
+    fn spawn_worker(&self, wid: Option<u16>) {
+        let Some(wid) = wid else { return };
         let shared = self.shared.clone();
-        // Spare ids live above the base range so a probe can tell them
-        // apart; u16::MAX is reserved for the queue-age pseudo-worker.
-        let wid = (self.shared.workers as u64 + n).min(u16::MAX as u64 - 1) as u16;
         let spawned = shim::thread::Builder::new()
-            .name(format!("eden-vproc-{}-s{n}", self.shared.node))
-            .spawn(move || worker_loop(shared, true, wid));
-        if spawned.is_err() {
-            // Could not create the thread: release the reserved slot.
-            self.shared.state.lock().live -= 1;
+            .name(format!("eden-vproc-{}-{wid}", self.shared.node))
+            .spawn(move || worker_loop(shared, wid));
+        let mut st = self.shared.state.lock();
+        match spawned {
+            Ok(handle) => {
+                st.threads.retain(|h| !h.is_finished());
+                st.threads.push(handle);
+            }
+            Err(_) => {
+                // Could not create the thread: release the reservation.
+                st.live -= 1;
+                st.idle -= 1;
+                st.ids.remove(&wid);
+            }
         }
     }
 
@@ -392,10 +448,11 @@ impl VirtualProcessorPool {
         }
     }
 
-    /// Stops accepting work and drains: base workers finish every task
-    /// already queued, then exit. Workers wedged in a long-running
-    /// operation are abandoned after a grace period rather than hanging
-    /// the caller (they still exit once their task completes).
+    /// Stops accepting work and drains: workers finish every task
+    /// already queued, then every worker — parked ones included —
+    /// exits and is joined. Workers wedged in a long-running operation
+    /// are abandoned after a grace period rather than hanging the
+    /// caller (they still exit once their task completes).
     pub fn shutdown(&self) {
         {
             let mut st = self.shared.state.lock();
@@ -405,45 +462,77 @@ impl VirtualProcessorPool {
             st.stop = true;
         }
         self.shared.cv.notify_all();
+        self.shared.resume_cv.notify_all();
         let deadline = Instant::now() + Duration::from_millis(500);
-        for handle in self.base.lock().drain(..) {
-            while !handle.is_finished() && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(2));
+        loop {
+            let (handles, live) = {
+                let mut st = self.shared.state.lock();
+                (std::mem::take(&mut st.threads), st.live)
+            };
+            if handles.is_empty() && live == 0 {
+                break;
             }
-            if handle.is_finished() {
-                let _ = handle.join();
+            for handle in handles {
+                while !handle.is_finished() && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                if handle.is_finished() {
+                    let _ = handle.join();
+                }
             }
+            if Instant::now() >= deadline {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(2));
         }
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, spare: bool, wid: u16) {
+/// Reserves a slot and an id for a new worker, which starts out idle.
+fn reserve_worker(st: &mut State) -> Option<u16> {
+    let wid = lowest_free_id(&st.ids)?;
+    st.ids.insert(wid);
+    st.live += 1;
+    st.idle += 1;
+    Some(wid)
+}
+
+fn worker_loop(shared: Arc<Shared>, wid: u16) {
     WORKER_OF.with(|c| c.set(Arc::as_ptr(&shared) as usize));
+    let mut st = shared.state.lock();
     loop {
-        let dequeued_ns;
-        let task = {
-            let mut st = shared.state.lock();
-            let task = loop {
+        // Parked, counted in `idle`: wait for queued work and a free
+        // processor. A worker above the configured count gives up after
+        // LINGER without work; on stop, workers exit once the queue is
+        // drained.
+        let mut parked = None;
+        let task = loop {
+            // A resuming worker has first claim on a free processor.
+            if st.running < shared.workers && st.resuming == 0 {
                 if let Some(task) = st.queue.pop_front() {
                     break Some(task);
                 }
-                // Spares exist only to cover a blocked-worker gap: once
-                // the queue is empty they retire. Base workers park —
-                // and drain the remaining queue on stop before exiting.
-                if st.stop || spare {
+            }
+            if st.stop && st.queue.is_empty() {
+                break None;
+            }
+            if st.live > shared.workers {
+                let since = *parked.get_or_insert_with(Instant::now);
+                let left = LINGER.saturating_sub(since.elapsed());
+                if left.is_zero() {
                     break None;
                 }
-                st.idle += 1;
+                shared.cv.wait_for(&mut st, left);
+            } else {
                 shared.cv.wait(&mut st);
-                st.idle -= 1;
-            };
-            dequeued_ns = now_ns();
-            if task.is_some() {
-                st.busy_since.insert(wid, dequeued_ns);
             }
-            task
         };
+        st.idle -= 1;
         let Some(task) = task else { break };
+        st.running += 1;
+        let dequeued_ns = now_ns();
+        st.busy_since.insert(wid, dequeued_ns);
+        drop(st);
         shared.queue_depth.dec();
         shared
             .task_wait
@@ -469,11 +558,16 @@ fn worker_loop(shared: Arc<Shared>, spare: bool, wid: u16) {
         if outcome.is_err() {
             shared.panicked.inc();
         }
-        shared.state.lock().busy_since.remove(&wid);
+        st = shared.state.lock();
+        st.busy_since.remove(&wid);
+        st.running -= 1;
+        st.idle += 1;
+        if st.resuming > 0 {
+            shared.resume_cv.notify_one();
+        }
     }
-    let mut st = shared.state.lock();
-    st.busy_since.remove(&wid);
     st.live -= 1;
+    st.ids.remove(&wid);
 }
 
 #[cfg(test)]
@@ -715,5 +809,62 @@ mod tests {
         }
         p.shutdown();
         assert_eq!(done.load(Ordering::SeqCst), 256);
+    }
+
+    #[test]
+    fn worker_ids_take_the_lowest_free_id_and_are_reused() {
+        fn alloc(held: &mut BTreeSet<u16>) -> Option<u16> {
+            let id = lowest_free_id(held);
+            held.extend(id);
+            id
+        }
+        let mut held = BTreeSet::new();
+        let ids = [alloc(&mut held), alloc(&mut held), alloc(&mut held)];
+        assert_eq!(ids, [Some(0), Some(1), Some(2)]);
+        held.remove(&1);
+        assert_eq!(alloc(&mut held), Some(1), "an exited worker's id is reused");
+        assert_eq!(alloc(&mut held), Some(3));
+        held.remove(&0);
+        held.remove(&3);
+        assert_eq!((alloc(&mut held), alloc(&mut held)), (Some(0), Some(3)));
+        // However many workers have come and gone, live ids stay
+        // distinct; only a full id space refuses, and u16::MAX (the
+        // probe's queue-age pseudo-worker) is never handed out.
+        let mut full: BTreeSet<u16> = (0..u16::MAX).collect();
+        assert_eq!(alloc(&mut full), None);
+        full.remove(&40_000);
+        assert_eq!(alloc(&mut full), Some(40_000));
+        assert_eq!(alloc(&mut full), None);
+    }
+
+    #[test]
+    fn shutdown_joins_parked_spares() {
+        let p = Arc::new(pool(1, 64));
+        let p2 = p.clone();
+        let done = Arc::new(AtomicUsize::new(0));
+        let d = done.clone();
+        // The blocking scope spawns a spare for the queued task; once the
+        // scope ends the spare is surplus and lingers, parked.
+        p.submit(move || {
+            p2.blocking(|| {
+                let deadline = Instant::now() + Duration::from_secs(5);
+                while d.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            });
+        })
+        .unwrap();
+        let d = done.clone();
+        p.submit(move || {
+            d.store(1, Ordering::SeqCst);
+        })
+        .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while p.stats().executed < 2 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(p.stats().live, 2, "surplus worker lingers: {:?}", p.stats());
+        p.shutdown();
+        assert_eq!(p.stats().live, 0, "every worker joined: {:?}", p.stats());
     }
 }

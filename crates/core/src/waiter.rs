@@ -59,6 +59,12 @@ impl<T> Waiter<T> {
     pub fn try_take(&self) -> Option<T> {
         self.slot.lock().take()
     }
+
+    /// Whether the waiter holds a value satisfying `pred`, without
+    /// taking it.
+    pub fn peek(&self, pred: impl FnOnce(&T) -> bool) -> bool {
+        self.slot.lock().as_ref().is_some_and(pred)
+    }
 }
 
 impl<T> Default for Waiter<T> {

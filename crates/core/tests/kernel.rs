@@ -89,25 +89,64 @@ struct Gauged {
     limit: usize,
 }
 
+impl Gauged {
+    /// 20 ms of work, counted in the gauge while it lasts.
+    fn busy(&self) {
+        let now = self.current.fetch_add(1, Ordering::SeqCst) + 1;
+        self.peak.fetch_max(now, Ordering::SeqCst);
+        std::thread::sleep(Duration::from_millis(20));
+        self.current.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 impl TypeManager for Gauged {
     fn spec(&self) -> TypeSpec {
         TypeSpec::new("gauged")
             .class("work", self.limit)
             .op("work", "work", Rights::EXECUTE)
+            .op("nest", "work", Rights::EXECUTE)
     }
 
-    fn dispatch(&self, _ctx: &OpCtx<'_>, op: &str, _args: &[Value]) -> OpResult {
+    fn dispatch(&self, ctx: &OpCtx<'_>, op: &str, args: &[Value]) -> OpResult {
         match op {
             "work" => {
-                let now = self.current.fetch_add(1, Ordering::SeqCst) + 1;
-                self.peak.fetch_max(now, Ordering::SeqCst);
-                std::thread::sleep(Duration::from_millis(20));
-                self.current.fetch_sub(1, Ordering::SeqCst);
+                self.busy();
+                Ok(vec![])
+            }
+            // Works, waits on a nested `work` (not counted: the process
+            // is blocked), then works again.
+            "nest" => {
+                self.busy();
+                ctx.invoke(OpCtx::cap_arg(args, 0)?, "work", &[])?;
+                self.busy();
                 Ok(vec![])
             }
             other => Err(OpError::no_such_op(other)),
         }
     }
+}
+
+/// A one-node cluster of `gauged` objects with `vprocs` virtual
+/// processors and class limit `limit`, plus the gauge's peak.
+fn gauged_cluster(vprocs: usize, limit: usize) -> (Cluster, Arc<AtomicU64>) {
+    let current = Arc::new(AtomicU64::new(0));
+    let peak = Arc::new(AtomicU64::new(0));
+    let (c2, p2) = (current.clone(), peak.clone());
+    let cluster = Cluster::builder()
+        .nodes(1)
+        .node_config(NodeConfig {
+            virtual_processors: vprocs,
+            ..Default::default()
+        })
+        .register(move || {
+            Box::new(Gauged {
+                current: c2.clone(),
+                peak: p2.clone(),
+                limit,
+            })
+        })
+        .build();
+    (cluster, peak)
 }
 
 /// Calls through to another object (nested invocation).
@@ -419,23 +458,7 @@ fn panicking_operation_becomes_app_error_and_node_survives() {
 
 #[test]
 fn class_limit_one_gives_mutual_exclusion() {
-    let current = Arc::new(AtomicU64::new(0));
-    let peak = Arc::new(AtomicU64::new(0));
-    let (c2, p2) = (current.clone(), peak.clone());
-    let cluster = Cluster::builder()
-        .nodes(1)
-        .node_config(NodeConfig {
-            virtual_processors: 8,
-            ..Default::default()
-        })
-        .register(move || {
-            Box::new(Gauged {
-                current: c2.clone(),
-                peak: p2.clone(),
-                limit: 1,
-            })
-        })
-        .build();
+    let (cluster, peak) = gauged_cluster(8, 1);
     let cap = cluster.node(0).create_object("gauged", &[]).unwrap();
     let handles: Vec<_> = (0..8)
         .map(|_| cluster.node(0).invoke_async(cap, "work", &[]))
@@ -452,23 +475,7 @@ fn class_limit_one_gives_mutual_exclusion() {
 
 #[test]
 fn class_limit_k_allows_exactly_k_concurrent_processes() {
-    let current = Arc::new(AtomicU64::new(0));
-    let peak = Arc::new(AtomicU64::new(0));
-    let (c2, p2) = (current.clone(), peak.clone());
-    let cluster = Cluster::builder()
-        .nodes(1)
-        .node_config(NodeConfig {
-            virtual_processors: 16,
-            ..Default::default()
-        })
-        .register(move || {
-            Box::new(Gauged {
-                current: c2.clone(),
-                peak: p2.clone(),
-                limit: 3,
-            })
-        })
-        .build();
+    let (cluster, peak) = gauged_cluster(16, 3);
     let cap = cluster.node(0).create_object("gauged", &[]).unwrap();
     let handles: Vec<_> = (0..12)
         .map(|_| cluster.node(0).invoke_async(cap, "work", &[]))
@@ -479,6 +486,65 @@ fn class_limit_k_allows_exactly_k_concurrent_processes() {
     let observed = peak.load(Ordering::SeqCst);
     assert!(observed <= 3, "class limit exceeded: {observed}");
     assert!(observed >= 2, "concurrency never materialized: {observed}");
+}
+
+#[test]
+fn virtual_processors_bound_concurrent_executions() {
+    // The class admits every call at once; only the node's three
+    // virtual processors hold execution back.
+    let (cluster, peak) = gauged_cluster(3, 64);
+    let cap = cluster.node(0).create_object("gauged", &[]).unwrap();
+    let handles: Vec<_> = (0..12)
+        .map(|_| cluster.node(0).invoke_async(cap, "work", &[]))
+        .collect();
+    for h in handles {
+        h.wait(Duration::from_secs(10)).unwrap();
+    }
+    assert_eq!(peak.load(Ordering::SeqCst), 3);
+}
+
+#[test]
+fn virtual_processors_bound_executions_across_nested_invocations() {
+    // Each `nest` waits on a nested `work` between two stretches of
+    // work. The waiting process gives its processor to the nested call
+    // and takes one back before resuming, so work — outer and nested
+    // alike — never runs on more than the two processors.
+    let (cluster, peak) = gauged_cluster(2, 64);
+    let outer = cluster.node(0).create_object("gauged", &[]).unwrap();
+    let inner = cluster.node(0).create_object("gauged", &[]).unwrap();
+    let handles: Vec<_> = (0..8)
+        .map(|_| {
+            cluster
+                .node(0)
+                .invoke_async(outer, "nest", &[Value::Cap(inner)])
+        })
+        .collect();
+    for h in handles {
+        h.wait(Duration::from_secs(10)).unwrap();
+    }
+    assert_eq!(peak.load(Ordering::SeqCst), 2);
+}
+
+#[test]
+fn pending_async_invocations_hold_no_virtual_processor() {
+    // Sixteen calls pile up behind a limit-1 class. They wait at the
+    // object's coordinator, not on pool workers: nothing blocks and no
+    // spare worker starts.
+    let (cluster, peak) = gauged_cluster(2, 1);
+    let cap = cluster.node(0).create_object("gauged", &[]).unwrap();
+    let handles: Vec<_> = (0..16)
+        .map(|_| cluster.node(0).invoke_async(cap, "work", &[]))
+        .collect();
+    std::thread::sleep(Duration::from_millis(50));
+    let during = cluster.node(0).vproc_stats();
+    for h in handles {
+        h.wait(Duration::from_secs(10)).unwrap();
+    }
+    let after = cluster.node(0).vproc_stats();
+    assert_eq!(during.blocked, 0, "{during:?}");
+    assert_eq!(after.spares_spawned, 0, "{after:?}");
+    assert_eq!(after.live, 2, "{after:?}");
+    assert_eq!(peak.load(Ordering::SeqCst), 1);
 }
 
 #[test]

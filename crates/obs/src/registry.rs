@@ -237,18 +237,25 @@ impl ObsRegistry {
 
     /// Opens a span as a child of `parent` (possibly from another node).
     pub fn child_span(&self, name: &'static str, parent: TraceCtx) -> SpanGuard<'_> {
-        let ctx = TraceCtx {
-            trace_id: parent.trace_id,
-            parent_span: parent.span_id,
-            span_id: self.next_span_id(),
-        };
         SpanGuard {
             registry: self,
             name,
             stage: stage::NONE,
-            ctx,
+            ctx: self.child_ctx(parent),
             start_ns: now_ns(),
             finished: false,
+        }
+    }
+
+    /// The context of a new child span of `parent`, to be recorded
+    /// later with [`record_span_as`](Self::record_span_as) — for a span
+    /// whose context travels (say, on a request frame) before its end
+    /// is known.
+    pub fn child_ctx(&self, parent: TraceCtx) -> TraceCtx {
+        TraceCtx {
+            trace_id: parent.trace_id,
+            parent_span: parent.span_id,
+            span_id: self.next_span_id(),
         }
     }
 
@@ -285,11 +292,21 @@ impl ObsRegistry {
         start_ns: u64,
         end_ns: u64,
     ) -> TraceCtx {
-        let ctx = TraceCtx {
-            trace_id: parent.trace_id,
-            parent_span: parent.span_id,
-            span_id: self.next_span_id(),
-        };
+        let ctx = self.child_ctx(parent);
+        self.record_span_as(name, stage, ctx, start_ns, end_ns);
+        ctx
+    }
+
+    /// Records the span `ctx` (from [`child_ctx`](Self::child_ctx))
+    /// retroactively from explicit timestamps.
+    pub fn record_span_as(
+        &self,
+        name: &'static str,
+        stage: &'static str,
+        ctx: TraceCtx,
+        start_ns: u64,
+        end_ns: u64,
+    ) {
         self.traces.record(SpanRecord {
             trace_id: ctx.trace_id,
             span_id: ctx.span_id,
@@ -300,7 +317,6 @@ impl ObsRegistry {
             start_ns,
             end_ns,
         });
-        ctx
     }
 }
 
